@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import InvalidDocument
@@ -74,6 +74,14 @@ class AcceleratorConfig:
             self.dataflow.value,
             self.loop_order,
         )
+
+    def to_dict(self) -> dict:
+        """The accelerator document of this config (see `load_accel`)."""
+        return dict(zip(_CONFIG_KEYS, self.as_tuple()))
+
+
+# Document keys, in field order; equal to the field names.
+_CONFIG_KEYS = tuple(f.name for f in fields(AcceleratorConfig))
 
 
 def validate_config(cfg: AcceleratorConfig) -> list[str]:
@@ -139,17 +147,12 @@ class ParamSpace:
     loop_orders: tuple[str, ...] = field(default_factory=all_loop_orders)
 
     def __post_init__(self):
-        object.__setattr__(self, "pe_x", tuple(self.pe_x))
-        object.__setattr__(self, "pe_y", tuple(self.pe_y))
-        object.__setattr__(self, "act_cache_kb", tuple(self.act_cache_kb))
-        object.__setattr__(self, "wgt_cache_kb", tuple(self.wgt_cache_kb))
-        object.__setattr__(self, "out_cache_kb", tuple(self.out_cache_kb))
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         object.__setattr__(self, "dataflows", tuple(Dataflow(d) for d in self.dataflows))
-        object.__setattr__(self, "loop_orders", tuple(self.loop_orders))
-        for name in ("pe_x", "pe_y", "act_cache_kb", "wgt_cache_kb", "out_cache_kb",
-                     "dataflows", "loop_orders"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} candidate list is empty")
+        for f, values in zip(fields(self), self.candidates):
+            if not values:
+                raise ValueError(f"{f.name} candidate list is empty")
         bad = [v for v in self.pe_x + self.pe_y if v < PE_MIN or v > PE_MAX]
         if bad:
             raise ValueError(f"PE candidates outside [{PE_MIN}, {PE_MAX}]: {bad}")
@@ -165,16 +168,13 @@ class ParamSpace:
             raise ValueError(f"invalid loop orders: {bad}")
 
     @property
+    def candidates(self) -> tuple[tuple, ...]:
+        """The seven candidate lists in config field order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
     def field_sizes(self) -> tuple[int, ...]:
-        return (
-            len(self.pe_x),
-            len(self.pe_y),
-            len(self.act_cache_kb),
-            len(self.wgt_cache_kb),
-            len(self.out_cache_kb),
-            len(self.dataflows),
-            len(self.loop_orders),
-        )
+        return tuple(len(values) for values in self.candidates)
 
     def config_at(self, choices) -> AcceleratorConfig:
         """Build a config from per-field candidate indices."""
@@ -189,6 +189,15 @@ class ParamSpace:
             self.loop_orders[c6],
         )
 
+    def choices_of(self, cfg: AcceleratorConfig) -> tuple[int, ...]:
+        """Per-field candidate indices of `cfg`; the inverse of `config_at`."""
+        choices = []
+        for values, value in zip(self.candidates, cfg.as_tuple()):
+            if value not in values:
+                raise ValueError(f"config value {value!r} is not in the search space")
+            choices.append(values.index(value))
+        return tuple(choices)
+
 
 def space_cardinality(space: ParamSpace) -> int:
     total = 1
@@ -199,27 +208,8 @@ def space_cardinality(space: ParamSpace) -> int:
 
 def iter_configs(space: ParamSpace):
     """Yield every config exactly once, nested in field order (last field fastest)."""
-    for values in itertools.product(
-        space.pe_x,
-        space.pe_y,
-        space.act_cache_kb,
-        space.wgt_cache_kb,
-        space.out_cache_kb,
-        space.dataflows,
-        space.loop_orders,
-    ):
+    for values in itertools.product(*space.candidates):
         yield AcceleratorConfig(*values)
-
-
-_CONFIG_KEYS = (
-    "pe_x",
-    "pe_y",
-    "act_cache_kb",
-    "wgt_cache_kb",
-    "out_cache_kb",
-    "dataflow",
-    "loop_order",
-)
 
 
 def load_accel(text: str) -> AcceleratorConfig:
@@ -251,11 +241,6 @@ def load_accel(text: str) -> AcceleratorConfig:
     return cfg
 
 
-def accel_to_doc(cfg: AcceleratorConfig) -> str:
-    payload = dict(zip(_CONFIG_KEYS, cfg.as_tuple()))
-    return json.dumps(payload, indent=2)
-
-
 def load_space(text: str) -> ParamSpace:
     """Parse a parameter-space document; omitted fields default to the full space."""
     try:
@@ -265,15 +250,7 @@ def load_space(text: str) -> ParamSpace:
     if not isinstance(doc, dict):
         raise InvalidDocument("space document must be a JSON object")
     kwargs = {}
-    mapping = {
-        "pe_x": "pe_x",
-        "pe_y": "pe_y",
-        "act_cache_kb": "act_cache_kb",
-        "wgt_cache_kb": "wgt_cache_kb",
-        "out_cache_kb": "out_cache_kb",
-        "dataflow": "dataflows",
-        "loop_order": "loop_orders",
-    }
+    mapping = dict(zip(_CONFIG_KEYS, (f.name for f in fields(ParamSpace))))
     unknown = set(doc) - set(mapping)
     if unknown:
         raise InvalidDocument(f"space document: unknown fields {sorted(unknown)}")

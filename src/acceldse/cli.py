@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .accel import AreaConstants, ParamSpace, load_accel, load_space
+from .accel import AreaConstants, ParamSpace, area, load_accel, load_space
 from .costmodel import (
     CostBreakdown,
     CostConstants,
@@ -29,6 +29,7 @@ from .costmodel import (
     edap,
     estimate_cost,
     hw_cost,
+    subnet_total,
 )
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
@@ -44,9 +45,6 @@ from .joint import JointWeights, co_search_step, load_supernet_state
 from .tiling import map_subnet
 from .workload import load_subnet
 
-BREAKDOWN_FIELDS = ("energy_mj", "latency_ms", "cycles", "dram_bytes", "area_mm2")
-
-
 def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -58,12 +56,19 @@ def _read_text(path: str) -> str:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
 
 
-def _breakdown_dict(c: CostBreakdown) -> dict:
-    return {name: getattr(c, name) for name in BREAKDOWN_FIELDS}
-
-
 def _breakdown_from_dict(d: dict) -> CostBreakdown:
-    return CostBreakdown(**{name: d[name] for name in BREAKDOWN_FIELDS})
+    """Parse a memo record's cost.  `cycles` must be an integer and the other
+    fields numbers; booleans are neither."""
+    cycles = d["cycles"]
+    if isinstance(cycles, bool) or not isinstance(cycles, int):
+        raise TypeError(f"cycles must be an integer, got {cycles!r}")
+    floats = {}
+    for name in ("energy_mj", "latency_ms", "dram_bytes", "area_mm2"):
+        value = d[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        floats[name] = float(value)
+    return CostBreakdown(cycles=cycles, **floats)
 
 
 def load_constants(text: str) -> CostConstants:
@@ -95,18 +100,22 @@ class CostCache:
     def __init__(self, path: str):
         self.path = Path(path)
         self._memo: dict[str, CostBreakdown] = {}
-        if self.path.exists():
-            for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    self._memo[record["key"]] = _breakdown_from_dict(record["cost"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    print(
-                        f"warning: ignoring corrupt cache record at {path}:{lineno}: {exc}",
-                        file=sys.stderr,
-                    )
+        text = self.path.read_text() if self.path.exists() else ""
+        # a truncated last record may lack its newline; never append onto it
+        self._needs_newline = bool(text) and not text.endswith("\n")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record["key"], str):
+                    raise TypeError(f"key must be a string, got {record['key']!r}")
+                self._memo[record["key"]] = _breakdown_from_dict(record["cost"])
+            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
+                print(
+                    f"warning: ignoring corrupt cache record at {path}:{lineno}: {exc}",
+                    file=sys.stderr,
+                )
 
     @staticmethod
     def key(op, cfg, tile, constants) -> str:
@@ -135,12 +144,11 @@ class CostCache:
         if key in self._memo:
             return
         self._memo[key] = cost
-        # a truncated last record may lack its newline; never append onto it
-        needs_newline = self.path.exists() and self.path.stat().st_size > 0 and not self.path.read_bytes().endswith(b"\n")
         with open(self.path, "a") as fh:
-            if needs_newline:
+            if self._needs_newline:
                 fh.write("\n")
-            fh.write(json.dumps({"key": key, "cost": _breakdown_dict(cost)}) + "\n")
+                self._needs_newline = False
+            fh.write(json.dumps({"key": key, "cost": cost.to_dict()}) + "\n")
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -180,9 +188,9 @@ def cmd_cost(args) -> int:
     weights = CostWeights(args.lambda_e, args.lambda_l, args.lambda_a)
     cache = CostCache(args.cache) if args.cache else None
 
-    per_op = []
     if args.tiling:
         plans = _load_tilings(_read_text(args.tiling), len(subnet))
+        costs = []
         for i, (op, plan) in enumerate(zip(subnet, plans)):
             key = CostCache.key(op, cfg, plan, constants) if cache else None
             cost = cache.get(key) if cache else None
@@ -193,36 +201,30 @@ def cmd_cost(args) -> int:
                     raise NoFeasibleTiling(f"operator {i}: {exc}", op_index=i) from exc
                 if cache:
                     cache.put(key, cost)
-            per_op.append((plan, cost))
+            costs.append(cost)
+        total = subnet_total(costs, area(cfg, constants.area))
     else:
-        mapping = map_subnet(subnet, cfg, constants, weights, threads=args.threads)
-        for op, result in zip(subnet, mapping.per_op):
-            if cache:
-                key = CostCache.key(op, cfg, result.best, constants)
-                if cache.get(key) is None:
-                    cache.put(key, result.cost)
-            per_op.append((result.best, result.cost))
+        mapping = map_subnet(subnet, cfg, constants, weights)
+        plans = [r.best for r in mapping.per_op]
+        costs = [r.cost for r in mapping.per_op]
+        if cache:
+            for op, plan, cost in zip(subnet, plans, costs):
+                cache.put(CostCache.key(op, cfg, plan, constants), cost)
+        total = mapping.total
 
-    total = CostBreakdown(
-        energy_mj=sum(c.energy_mj for _, c in per_op),
-        latency_ms=sum(c.latency_ms for _, c in per_op),
-        cycles=sum(c.cycles for _, c in per_op),
-        dram_bytes=sum(c.dram_bytes for _, c in per_op),
-        area_mm2=per_op[0][1].area_mm2,
-    )
     report = {
         "per_operator": [
             {
                 "op_index": i,
                 "tiling": {"t_oc": p.t_oc, "t_ic": p.t_ic, "t_ow": p.t_ow, "t_oh": p.t_oh},
-                "cost": _breakdown_dict(c),
+                "cost": c.to_dict(),
                 "hw_cost": hw_cost(c, weights),
                 "edap": edap(c),
             }
-            for i, (p, c) in enumerate(per_op)
+            for i, (p, c) in enumerate(zip(plans, costs))
         ],
         "aggregate": {
-            "cost": _breakdown_dict(total),
+            "cost": total.to_dict(),
             "hw_cost": hw_cost(total, weights),
             "edap": edap(total),
         },
@@ -237,7 +239,7 @@ def cmd_search_tile(args) -> int:
     subnet = load_subnet(_read_text(args.workload))
     cfg = load_accel(_read_text(args.accel))
     constants = load_constants(_read_text(args.constants)) if args.constants else CostConstants()
-    mapping = map_subnet(subnet, cfg, constants, threads=args.threads)
+    mapping = map_subnet(subnet, cfg, constants)
 
     lines = ["op_index,t_oc,t_ic,t_ow,t_oh,energy_mj,latency_ms,dram_bytes"]
     for i, r in enumerate(mapping.per_op):
@@ -258,7 +260,7 @@ def cmd_search_tile(args) -> int:
         )
     csv_text = "\n".join(lines) + "\n"
     summary = {
-        "aggregate_cost": _breakdown_dict(mapping.total),
+        "aggregate_cost": mapping.total.to_dict(),
         "n_candidates": [r.n_candidates for r in mapping.per_op],
         "n_feasible": [r.n_feasible for r in mapping.per_op],
         "per_op_wall_time_s": [r.wall_time_s for r in mapping.per_op],
@@ -288,18 +290,6 @@ def _budget_from_args(args) -> SearchBudget:
     )
 
 
-def _config_dict(cfg) -> dict:
-    return {
-        "pe_x": cfg.pe_x,
-        "pe_y": cfg.pe_y,
-        "act_cache_kb": cfg.act_cache_kb,
-        "wgt_cache_kb": cfg.wgt_cache_kb,
-        "out_cache_kb": cfg.out_cache_kb,
-        "dataflow": cfg.dataflow.value,
-        "loop_order": cfg.loop_order,
-    }
-
-
 def _write_trace_csv(out: str, result) -> None:
     path = Path(out).with_suffix("").as_posix() + ".trace.csv"
     if result.engine == "generator":
@@ -324,12 +314,12 @@ def cmd_search_accel(args) -> int:
 
     report_extra = {}
     if args.engine == "exhaustive":
-        result = exhaustive_search(subnet, space, constants, weights, threads=args.threads)
+        result = exhaustive_search(subnet, space, constants, weights)
     elif args.engine == "anneal":
-        result = anneal_search(subnet, space, constants, budget, weights, threads=args.threads)
+        result = anneal_search(subnet, space, constants, budget, weights)
     else:
         net = GeneratorNet(space, seed=budget.seed)
-        result = train_generator(net, subnet, space, constants, budget, weights, threads=args.threads)
+        result = train_generator(net, subnet, space, constants, budget, weights)
         feats = featurize_subnet(subnet)
         final_tau = max(budget.gumbel_tau * budget.tau_decay**budget.steps, 1e-3)
         probs, _ = generator_forward(net, feats, final_tau, noise_seed=budget.seed,
@@ -343,7 +333,7 @@ def cmd_search_accel(args) -> int:
     report = {
         "engine": result.engine,
         "seed": args.seed,
-        "config": _config_dict(result.config),
+        "config": result.config.to_dict(),
         "hw_cost": result.cost,
         "evaluations": result.evaluations,
         "wall_time_s": result.wall_time_s,
@@ -370,7 +360,6 @@ def cmd_search_co(args) -> int:
         weights,
         _budget_from_args(args),
         engine=args.engine,
-        threads=args.threads,
     )
     _write_report(report.to_json() + "\n", args.out)
     return 0
@@ -379,7 +368,9 @@ def cmd_search_co(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constants", help="cost-constants JSON document")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=1, help="internal parallelism cap")
+    parser.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="accepted for compatibility and ignored: evaluation runs on one "
+                             "thread, so results never depend on N")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lambda-e", dest="lambda_e", type=float, default=0.33)
     parser.add_argument("--lambda-l", dest="lambda_l", type=float, default=0.33)

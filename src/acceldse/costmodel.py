@@ -44,7 +44,7 @@ bit-identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -131,6 +131,24 @@ class CostBreakdown:
     dram_bytes: float
     area_mm2: float
 
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def subnet_total(costs, area_mm2: float) -> CostBreakdown:
+    """Sum of per-operator breakdowns in operator order; area counts once.
+
+    Operators execute sequentially at batch 1, so energies and latencies add.
+    """
+    energy = latency = dram = 0.0
+    cycles = 0
+    for c in costs:
+        energy += c.energy_mj
+        latency += c.latency_ms
+        cycles += c.cycles
+        dram += c.dram_bytes
+    return CostBreakdown(energy, latency, cycles, dram, area_mm2)
+
 
 @dataclass(frozen=True)
 class TrafficBreakdown:
@@ -174,15 +192,14 @@ def _spatial_dims(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_
     return np.full_like(t_oh, op.kernel), t_oh  # RS
 
 
-def _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh):
-    counts = _tile_counts(op, t_oc, t_ic, t_ow, t_oh)
+def _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts):
     n_tiles = counts["B"] * counts["I"] * counts["O"] * counts["H"] * counts["W"]
     tile_macs = t_ic * t_oc * t_ow * t_oh * (op.kernel**2)
     d1, d2 = _spatial_dims(op, cfg, t_oc, t_ic, t_ow, t_oh)
     bitspeed = (8 // op.act_bits) * (8 // op.wgt_bits)
     passes = _ceil_div(d1, cfg.pe_x) * _ceil_div(d2, cfg.pe_y)
     per_tile = _ceil_div(passes * (tile_macs // (d1 * d2)), bitspeed)
-    return per_tile * n_tiles, n_tiles, tile_macs, counts
+    return per_tile * n_tiles, n_tiles, tile_macs
 
 
 def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
@@ -254,13 +271,17 @@ def evaluate_tilings(
     """Vectorized cost evaluation over arrays of tile sizes.
 
     Feasibility is not checked here; callers filter candidates first.  The
-    scalar :func:`estimate_cost` routes through this function with length-1
-    arrays, which keeps batched and sequential evaluation bit-identical.
+    scalar views (:func:`estimate_cost`, :func:`compute_cycles`,
+    :func:`dram_traffic`) route through this function with length-1 arrays,
+    which keeps batched and sequential evaluation bit-identical.
     """
     constants = constants or CostConstants()
     t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
-    compute, n_tiles, tile_macs, counts = _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh)
-    act_b, wgt_b, out_b, total_b, _, _ = _traffic_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts)
+    counts = _tile_counts(op, t_oc, t_ic, t_ow, t_oh)
+    compute, n_tiles, tile_macs = _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts)
+    act_b, wgt_b, out_b, total_b, fetches, unique = _traffic_arrays(
+        op, cfg, t_oc, t_ic, t_ow, t_oh, counts
+    )
 
     mem_cycles = np.ceil(total_b / constants.dram_bw_bytes_per_cycle).astype(np.int64)
     cycles = np.maximum(compute, mem_cycles)
@@ -286,12 +307,11 @@ def evaluate_tilings(
         "act_bytes": act_b,
         "wgt_bytes": wgt_b,
         "out_bytes": out_b,
+        "act_fetches": fetches["act"],
+        "wgt_fetches": fetches["wgt"],
+        "out_fetches": fetches["out"],
+        "out_unique_tiles": unique["out"],
     }
-
-
-def tile_fits_caches(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> bool:
-    t = [np.array([v], dtype=np.int64) for v in tile.as_tuple()]
-    return bool(fits_caches_mask(op, cfg, *t)[0])
 
 
 def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh) -> np.ndarray:
@@ -310,29 +330,43 @@ def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic,
     )
 
 
+def _tile_columns(tile: TilingPlan) -> list[np.ndarray]:
+    """One tiling as length-1 arrays, the K=1 input of the batched functions."""
+    return [np.array([v], dtype=np.int64) for v in tile.as_tuple()]
+
+
+def tile_fits_caches(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> bool:
+    return bool(fits_caches_mask(op, cfg, *_tile_columns(tile))[0])
+
+
+def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.ndarray]:
+    """`evaluate_tilings` at one tiling, which must fit the caches."""
+    t = _tile_columns(tile)
+    if not fits_caches_mask(op, cfg, *t)[0]:
+        raise NoFeasibleTiling(
+            f"tiling {tile.as_tuple()} does not fit caches "
+            f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
+        )
+    return evaluate_tilings(op, cfg, *t, constants=constants)
+
+
 def compute_cycles(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> int:
     """Compute-side cycle count for one tiling (no DRAM term)."""
-    _require_fit(op, cfg, tile)
-    t = [np.array([v], dtype=np.int64) for v in tile.as_tuple()]
-    total, _, _, _ = _cycles_arrays(op, cfg, *t)
-    return int(total[0])
+    return int(_evaluate_one(op, cfg, tile)["compute_cycles"][0])
 
 
 def dram_traffic(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> TrafficBreakdown:
     """DRAM bytes per operand under the re-fetch rule, plus fetch counts."""
-    _require_fit(op, cfg, tile)
-    t = [np.array([v], dtype=np.int64) for v in tile.as_tuple()]
-    counts = _tile_counts(op, *t)
-    act_b, wgt_b, out_b, total_b, fetches, unique = _traffic_arrays(op, cfg, *t, counts)
+    out = _evaluate_one(op, cfg, tile)
     return TrafficBreakdown(
-        act_bytes=float(act_b[0]),
-        wgt_bytes=float(wgt_b[0]),
-        out_bytes=float(out_b[0]),
-        total_bytes=float(total_b[0]),
-        act_fetches=int(fetches["act"][0]),
-        wgt_fetches=int(fetches["wgt"][0]),
-        out_fetches=int(fetches["out"][0]),
-        out_unique_tiles=int(unique["out"][0]),
+        act_bytes=float(out["act_bytes"][0]),
+        wgt_bytes=float(out["wgt_bytes"][0]),
+        out_bytes=float(out["out_bytes"][0]),
+        total_bytes=float(out["dram_bytes"][0]),
+        act_fetches=int(out["act_fetches"][0]),
+        wgt_fetches=int(out["wgt_fetches"][0]),
+        out_fetches=int(out["out_fetches"][0]),
+        out_unique_tiles=int(out["out_unique_tiles"][0]),
     )
 
 
@@ -344,9 +378,7 @@ def estimate_cost(
 ) -> CostBreakdown:
     """Full cost breakdown for one (operator, accelerator, tiling) triple."""
     constants = constants or CostConstants()
-    _require_fit(op, cfg, tile)
-    t = [np.array([v], dtype=np.int64) for v in tile.as_tuple()]
-    out = evaluate_tilings(op, cfg, *t, constants=constants)
+    out = _evaluate_one(op, cfg, tile, constants)
     return CostBreakdown(
         energy_mj=float(out["energy_mj"][0]),
         latency_ms=float(out["latency_ms"][0]),
@@ -354,14 +386,6 @@ def estimate_cost(
         dram_bytes=float(out["dram_bytes"][0]),
         area_mm2=area(cfg, constants.area),
     )
-
-
-def _require_fit(op, cfg, tile):
-    if not tile_fits_caches(op, cfg, tile):
-        raise NoFeasibleTiling(
-            f"tiling {tile.as_tuple()} does not fit caches "
-            f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
-        )
 
 
 def hw_cost(c: CostBreakdown, w: CostWeights | None = None) -> float:

@@ -242,7 +242,6 @@ def make_subnet_scorer(
     subnet: SubnetDescriptor,
     constants: CostConstants | None,
     weights: CostWeights | None,
-    threads: int = 1,
 ):
     """Memoized config -> (cost, feasible) scorer shared by all engines."""
     constants = constants or CostConstants()
@@ -254,7 +253,7 @@ def make_subnet_scorer(
         key = cfg.as_tuple()
         if key not in memo:
             try:
-                mapping = map_subnet(subnet, cfg, constants, weights, threads=threads)
+                mapping = map_subnet(subnet, cfg, constants, weights)
                 memo[key] = hw_cost(mapping.total, weights)
             except NoFeasibleTiling:
                 memo[key] = None
@@ -343,7 +342,6 @@ def train_generator(
     constants: CostConstants | None = None,
     budget: SearchBudget | None = None,
     weights: CostWeights | None = None,
-    threads: int = 1,
 ) -> AccelSearchResult:
     """Train the generator against the cost model and decode a config.
 
@@ -355,7 +353,7 @@ def train_generator(
     budget = budget or SearchBudget()
     t0 = time.perf_counter()
     feats = featurize_subnet(subnet)
-    score_cfg = make_subnet_scorer(subnet, constants, weights, threads)
+    score_cfg = make_subnet_scorer(subnet, constants, weights)
 
     def score_choices(choices):
         return score_cfg(space.config_at(choices))
@@ -384,7 +382,6 @@ def anneal_search(
     constants: CostConstants | None = None,
     budget: SearchBudget | None = None,
     weights: CostWeights | None = None,
-    threads: int = 1,
     initial: AcceleratorConfig | None = None,
 ) -> AccelSearchResult:
     """Simulated annealing: resample one uniformly chosen field per step,
@@ -396,11 +393,11 @@ def anneal_search(
     budget = budget or SearchBudget()
     t0 = time.perf_counter()
     rng = np.random.default_rng(budget.seed)
-    score = make_subnet_scorer(subnet, constants, weights, threads)
+    score = make_subnet_scorer(subnet, constants, weights)
     sizes = space.field_sizes
 
     if initial is not None:
-        choices = _choices_of(space, initial)
+        choices = space.choices_of(initial)
     else:
         choices = tuple(int(rng.integers(n)) for n in sizes)
     current_cost, current_feasible = score(space.config_at(choices))
@@ -445,7 +442,6 @@ def exhaustive_search(
     space: ParamSpace,
     constants: CostConstants | None = None,
     weights: CostWeights | None = None,
-    threads: int = 1,
     guard: int = 1_000_000,
 ) -> AccelSearchResult:
     """Global argmin over the whole space; refuses spaces above `guard`.
@@ -459,7 +455,7 @@ def exhaustive_search(
             f"space has {cardinality} configs, above the exhaustive guard of {guard}"
         )
     t0 = time.perf_counter()
-    score = make_subnet_scorer(subnet, constants, weights, threads)
+    score = make_subnet_scorer(subnet, constants, weights)
     best_cfg = None
     best_cost = None
     for cfg in iter_configs(space):
@@ -476,23 +472,3 @@ def exhaustive_search(
         trace=(),
         engine="exhaustive",
     )
-
-
-def _choices_of(space: ParamSpace, cfg: AcceleratorConfig) -> tuple[int, ...]:
-    lists = (
-        space.pe_x,
-        space.pe_y,
-        space.act_cache_kb,
-        space.wgt_cache_kb,
-        space.out_cache_kb,
-        space.dataflows,
-        space.loop_orders,
-    )
-    values = cfg.as_tuple()
-    choices = []
-    for candidates, value in zip(lists, values):
-        normalized = [getattr(c, "value", c) for c in candidates]
-        if value not in normalized:
-            raise ValueError(f"config value {value!r} is not in the search space")
-        choices.append(normalized.index(value))
-    return tuple(choices)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accel import AcceleratorConfig, ParamSpace
-from .costmodel import CostBreakdown, CostConstants, CostWeights, hw_cost
+from .costmodel import CostConstants, CostWeights, hw_cost
 from .errors import InvalidDocument
 from .hwsearch import (
     GeneratorNet,
@@ -124,15 +124,7 @@ class CoSearchReport:
                     for op in self.subnet
                 ]
             },
-            "accel_config": {
-                "pe_x": self.config.pe_x,
-                "pe_y": self.config.pe_y,
-                "act_cache_kb": self.config.act_cache_kb,
-                "wgt_cache_kb": self.config.wgt_cache_kb,
-                "out_cache_kb": self.config.out_cache_kb,
-                "dataflow": self.config.dataflow.value,
-                "loop_order": self.config.loop_order,
-            },
+            "accel_config": self.config.to_dict(),
             "tilings": [
                 {
                     "op_index": i,
@@ -143,8 +135,8 @@ class CoSearchReport:
                 }
                 for i, r in enumerate(self.mapping.per_op)
             ],
-            "per_op_costs": [_breakdown_dict(r.cost) for r in self.mapping.per_op],
-            "aggregate_cost": _breakdown_dict(self.mapping.total),
+            "per_op_costs": [r.cost.to_dict() for r in self.mapping.per_op],
+            "aggregate_cost": self.mapping.total.to_dict(),
             "e_hw": self.e_hw,
             "lambda": self.lam,
             "engine": self.engine,
@@ -157,16 +149,6 @@ class CoSearchReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _breakdown_dict(c: CostBreakdown) -> dict:
-    return {
-        "energy_mj": c.energy_mj,
-        "latency_ms": c.latency_ms,
-        "cycles": c.cycles,
-        "dram_bytes": c.dram_bytes,
-        "area_mm2": c.area_mm2,
-    }
-
-
 def co_search_step(
     state: SupernetState,
     space: ParamSpace,
@@ -174,7 +156,6 @@ def co_search_step(
     weights: JointWeights | None = None,
     budget: SearchBudget | None = None,
     engine: str = "anneal",
-    threads: int = 1,
     warm_start: AcceleratorConfig | None = None,
 ) -> CoSearchReport:
     """One hardware-side step: decode the current subnet, search an accelerator
@@ -191,18 +172,18 @@ def co_search_step(
     subnet = select_subnet(state)
 
     if engine == "exhaustive":
-        found = exhaustive_search(subnet, space, constants, weights.cost_weights, threads)
+        found = exhaustive_search(subnet, space, constants, weights.cost_weights)
     elif engine == "anneal":
         found = anneal_search(
-            subnet, space, constants, budget, weights.cost_weights, threads, initial=warm_start
+            subnet, space, constants, budget, weights.cost_weights, initial=warm_start
         )
     elif engine == "generator":
         net = GeneratorNet(space, seed=budget.seed)
-        found = train_generator(net, subnet, space, constants, budget, weights.cost_weights, threads)
+        found = train_generator(net, subnet, space, constants, budget, weights.cost_weights)
     else:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
-    mapping = map_subnet(subnet, found.config, constants, weights.cost_weights, threads=threads)
+    mapping = map_subnet(subnet, found.config, constants, weights.cost_weights)
     e_hw = hw_cost(mapping.total, weights.cost_weights)
     return CoSearchReport(
         subnet=subnet,

@@ -15,7 +15,6 @@ The rounding mode is stated explicitly because example values depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -215,51 +214,3 @@ def memory_model(m: int, k_percent: float, n_ops: int, act_bytes: float) -> Memo
     naive = n_ops * act_bytes * (1 + m)
     sparse = n_ops * act_bytes * (1 + m * k_percent / 100.0)
     return MemoryEstimate(naive_bytes=naive, sparse_bytes=sparse, ratio=naive / sparse)
-
-
-def save_tensor4(path, arr: np.ndarray) -> None:
-    """Write a 4-D tensor as a flat binary container: 4 int64 dims, then
-    row-major float64 data."""
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    if a.ndim != 4:
-        raise ValueError(f"expected a 4-D tensor, got ndim={a.ndim}")
-    with open(path, "wb") as fh:
-        np.asarray(a.shape, dtype=np.int64).tofile(fh)
-        a.tofile(fh)
-
-
-def load_tensor4(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        dims = np.fromfile(fh, dtype=np.int64, count=4)
-        if dims.size != 4 or np.any(dims <= 0):
-            raise ValueError(f"corrupt tensor header in {path}")
-        data = np.fromfile(fh, dtype=np.float64)
-    expected = int(np.prod(dims))
-    if data.size != expected:
-        raise ValueError(f"tensor payload in {path} has {data.size} values, expected {expected}")
-    return data.reshape(tuple(dims))
-
-
-def save_tensor4_text(path, arr: np.ndarray) -> None:
-    """Small text format for tests: dims on the first line, one value per line."""
-    a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != 4:
-        raise ValueError(f"expected a 4-D tensor, got ndim={a.ndim}")
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(d) for d in a.shape) + "\n")
-        for value in a.ravel():
-            fh.write(f"{float(value)!r}\n")
-
-
-def load_tensor4_text(path) -> np.ndarray:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ValueError(f"empty tensor file {path}")
-    dims = tuple(int(d) for d in text[0].split())
-    if len(dims) != 4 or any(d <= 0 for d in dims):
-        raise ValueError(f"corrupt tensor header in {path}")
-    values = np.array([float(line) for line in text[1:] if line.strip()], dtype=np.float64)
-    expected = int(np.prod(dims))
-    if values.size != expected:
-        raise ValueError(f"tensor payload in {path} has {values.size} values, expected {expected}")
-    return values.reshape(dims)

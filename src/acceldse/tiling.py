@@ -10,7 +10,6 @@ aggregate from operators to subnets in `map_subnet`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .costmodel import (
     evaluate_tilings,
     fits_caches_mask,
     hw_cost,
+    subnet_total,
 )
 from .errors import NoFeasibleTiling
 from .workload import OperatorDescriptor, SubnetDescriptor
@@ -101,8 +101,7 @@ def batch_search(
 ) -> TilingSearchResult:
     """Cost-optimal tiling by one batched pass over every feasible candidate.
 
-    Ties break toward the earliest candidate in enumeration order, so the
-    result is independent of evaluation parallelism.
+    Ties break toward the earliest candidate in enumeration order.
     """
     t0 = time.perf_counter()
     constants = constants or CostConstants()
@@ -170,46 +169,16 @@ def map_subnet(
     cfg: AcceleratorConfig,
     constants: CostConstants | None = None,
     weights: CostWeights | None = None,
-    threads: int = 1,
 ) -> SubnetMapping:
-    """Best tiling per operator plus the subnet-level aggregate.
-
-    Operators execute sequentially at batch 1, so energies and latencies add;
-    area is counted once.  With `threads > 1` the per-operator searches run in
-    a thread pool; results are reduced in operator order, so the outcome is
-    identical at any thread count.
-    """
+    """Best tiling per operator plus the subnet-level aggregate
+    (`subnet_total`: energies and latencies add, area counts once)."""
     t0 = time.perf_counter()
     constants = constants or CostConstants()
-
-    def search_one(index_op):
-        index, op = index_op
+    results = []
+    for index, op in enumerate(subnet):
         try:
-            return batch_search(op, cfg, constants, weights)
+            results.append(batch_search(op, cfg, constants, weights))
         except NoFeasibleTiling as exc:
             raise NoFeasibleTiling(f"operator {index}: {exc}", op_index=index) from exc
-
-    items = list(enumerate(subnet))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(search_one, items))
-    else:
-        results = tuple(search_one(item) for item in items)
-
-    energy = 0.0
-    latency = 0.0
-    cycles = 0
-    dram = 0.0
-    for r in results:
-        energy += r.cost.energy_mj
-        latency += r.cost.latency_ms
-        cycles += r.cost.cycles
-        dram += r.cost.dram_bytes
-    total = CostBreakdown(
-        energy_mj=energy,
-        latency_ms=latency,
-        cycles=cycles,
-        dram_bytes=dram,
-        area_mm2=area(cfg, constants.area),
-    )
-    return SubnetMapping(per_op=results, total=total, wall_time_s=time.perf_counter() - t0)
+    total = subnet_total((r.cost for r in results), area(cfg, constants.area))
+    return SubnetMapping(per_op=tuple(results), total=total, wall_time_s=time.perf_counter() - t0)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acceldse import (
     AcceleratorConfig,
@@ -17,6 +19,14 @@ from acceldse import (
     validate_config,
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
+
+# Every legal candidate of each config field, in field order.
+FULL_CANDIDATES = (PE_CHOICES, PE_CHOICES, CACHE_CHOICES_KB, CACHE_CHOICES_KB,
+                   CACHE_CHOICES_KB, tuple(Dataflow), all_loop_orders())
+spaces = st.tuples(*(
+    st.lists(st.sampled_from(full), min_size=1, max_size=4, unique=True)
+    for full in FULL_CANDIDATES
+)).map(lambda lists: ParamSpace(*lists))
 
 
 def test_candidate_list_sizes():
@@ -116,3 +126,20 @@ def test_load_space_defaults_and_restriction():
     assert len(reduced.loop_orders) == 120
     with pytest.raises(InvalidDocument, match="unknown fields"):
         load_space(json.dumps({"pe": [8]}))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_choices_of_inverts_config_at(data):
+    space = data.draw(spaces)
+    choices = tuple(data.draw(st.integers(0, n - 1)) for n in space.field_sizes)
+    cfg = space.config_at(choices)
+    assert space.choices_of(cfg) == choices
+
+    outside = [[v for v in full if v not in values]
+               for full, values in zip(FULL_CANDIDATES, space.candidates)]
+    field = data.draw(st.sampled_from([i for i, values in enumerate(outside) if values]))
+    moved = list(cfg.as_tuple())
+    moved[field] = data.draw(st.sampled_from(outside[field]))
+    with pytest.raises(ValueError, match="not in the search space"):
+        space.choices_of(AcceleratorConfig(*moved))

@@ -5,7 +5,6 @@ inline).  Tolerances are pinned here and nowhere else.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -80,16 +79,15 @@ def test_criterion_02_mapping_search_speed():
     """22-operator subnet mapped in one batched pass per operator; hard wall
     ceiling 1.0 s, desktop target 0.15 s."""
     subnet = make_synthetic_subnet_22()
-    threads = os.cpu_count() or 1
-    map_subnet(subnet, REF_CFG, threads=threads)  # warm-up
+    map_subnet(subnet, REF_CFG)  # warm-up
     t0 = time.perf_counter()
-    mapping = map_subnet(subnet, REF_CFG, threads=threads)
+    mapping = map_subnet(subnet, REF_CFG)
     wall = time.perf_counter() - t0
     per_op_total = sum(r.wall_time_s for r in mapping.per_op)
     assert wall <= 1.0, f"mapping took {wall:.3f} s (hard ceiling 1.0 s)"
     status = "meets" if wall <= 0.15 else "misses"
     print(
-        f"PASS criterion 2: subnet mapped in {wall * 1000:.1f} ms with {threads} threads "
+        f"PASS criterion 2: subnet mapped in {wall * 1000:.1f} ms "
         f"({status} the 0.15 s desktop target; per-op sum {per_op_total * 1000:.1f} ms)"
     )
 

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from acceldse import Dataflow, exhaustive_search
-from acceldse.cli import main
+from acceldse import CostBreakdown, Dataflow, exhaustive_search
+from acceldse.cli import CostCache, main
 from conftest import make_reduced_space_24, make_small_subnet
 
 REF_WORKLOAD = {"operators": [{
@@ -242,3 +243,48 @@ def test_cache_corrupt_record_recovered(docs, tmp_path, capsys):
     assert "corrupt cache record" in err
     assert out.read_bytes() == good
     assert len(cache.read_text().splitlines()) == 2  # corrupt line + recomputed record
+
+
+@pytest.mark.parametrize("field, value", [
+    ("energy_mj", "oops"),
+    ("energy_mj", True),
+    ("energy_mj", 10**400),
+    ("cycles", 2.5),
+    ("key", 7),
+])
+def test_cache_wrongly_typed_record_skipped(docs, tmp_path, capsys, field, value):
+    cache = tmp_path / "memo.jsonl"
+    out = tmp_path / "c.json"
+    args = ["cost", "--workload", docs["workload.json"], "--accel", docs["accel.json"],
+            "--tiling", docs["best.json"]]
+    assert main(args + ["--out", str(out)]) == 0
+    uncached = out.read_bytes()
+    assert main(args + ["--cache", str(cache), "--out", str(out)]) == 0
+    record = json.loads(cache.read_text())
+    (record if field == "key" else record["cost"])[field] = value
+    cache.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(args + ["--cache", str(cache), "--out", str(out)]) == 0
+    assert "corrupt cache record" in capsys.readouterr().err
+    assert out.read_bytes() == uncached
+
+
+def test_cache_put_appends_after_truncated_record(tmp_path, monkeypatch):
+    path = tmp_path / "memo.jsonl"
+    truncated = '{"key": "deadbeef", "cost": {trunc'
+    path.write_text(truncated)
+    cache = CostCache(str(path))
+    cost = CostBreakdown(1.5, 0.25, 3, 64.0, 0.5)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("put must only append")
+
+    monkeypatch.setattr(Path, "read_text", no_read)
+    monkeypatch.setattr(Path, "read_bytes", no_read)
+    for key in ("a", "b", "c"):
+        cache.put(key, cost)
+    monkeypatch.undo()
+    lines = path.read_text().splitlines()
+    assert lines[0] == truncated
+    assert [json.loads(line)["key"] for line in lines[1:]] == ["a", "b", "c"]
+    assert CostCache(str(path)).get("c") == cost

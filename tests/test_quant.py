@@ -11,12 +11,6 @@ from acceldse import (
     quantize_channels,
     topk_channels,
 )
-from acceldse.quant import (
-    load_tensor4,
-    load_tensor4_text,
-    save_tensor4,
-    save_tensor4_text,
-)
 
 
 def test_quantize_grid_exact():
@@ -192,20 +186,3 @@ def test_memory_model():
             assert r < prev
         prev = r
 
-
-def test_tensor_io_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    t = rng.normal(size=(2, 3, 4, 5))
-    binary = tmp_path / "t.bin"
-    save_tensor4(binary, t)
-    assert np.array_equal(load_tensor4(binary), t)
-    text = tmp_path / "t.txt"
-    save_tensor4_text(text, t)
-    assert np.array_equal(load_tensor4_text(text), t)
-
-
-def test_tensor_io_corruption(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x01\x00")
-    with pytest.raises(ValueError, match="corrupt tensor header"):
-        load_tensor4(path)
