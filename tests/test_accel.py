@@ -128,7 +128,7 @@ def test_load_space_defaults_and_restriction():
         load_space(json.dumps({"pe": [8]}))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_choices_of_inverts_config_at(data):
     space = data.draw(spaces)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acceldse import (
@@ -48,7 +48,8 @@ configs = st.builds(
     dataflow=st.sampled_from(list(Dataflow)),
     loop_order=st.sampled_from(all_loop_orders()),
 )
-PROPERTY = settings(max_examples=40, deadline=None, database=None)
+# Derandomized, so every run draws the same examples.
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
 
 def test_tile_size_choices():
@@ -137,6 +138,7 @@ def test_map_subnet_single_op():
 
 @PROPERTY
 @given(operators)
+@example(OperatorDescriptor(3, 1, 8, 16, 32, 8, 8))
 def test_map_subnet_duplication_additivity(op):
     one = map_subnet(SubnetDescriptor((op,)), CFG)
     two = map_subnet(SubnetDescriptor((op, op)), CFG)
@@ -150,6 +152,17 @@ def test_map_subnet_duplication_additivity(op):
 
 @PROPERTY
 @given(operators, configs)
+# the fixed operators this test checked before it drew its inputs
+@example(OperatorDescriptor(5, 2, 1, 52, 31, 4, 4), CFG)
+@example(OperatorDescriptor(1, 2, 1, 18, 25, 4, 4), CFG)
+@example(OperatorDescriptor(1, 1, 1, 4, 10, 8, 2), CFG)
+@example(OperatorDescriptor(3, 2, 4, 19, 28, 2, 8), CFG)
+@example(OperatorDescriptor(1, 2, 13, 55, 8, 4, 4), CFG)
+@example(OperatorDescriptor(3, 2, 11, 43, 4, 8, 4), CFG)
+@example(OperatorDescriptor(5, 1, 6, 57, 12, 2, 4), CFG)
+@example(OperatorDescriptor(5, 1, 14, 22, 15, 4, 8), CFG)
+@example(OperatorDescriptor(5, 2, 5, 2, 50, 8, 8), CFG)
+@example(OperatorDescriptor(1, 1, 9, 22, 28, 8, 2), CFG)
 def test_batch_matches_oracle_small(op, cfg):
     try:
         b = batch_search(op, cfg)
@@ -158,7 +171,8 @@ def test_batch_matches_oracle_small(op, cfg):
             oracle_search(op, cfg)
         return
     o = oracle_search(op, cfg)
-    assert (b.best, b.cost, b.n_feasible) == (o.best, o.cost, o.n_feasible)
+    assert (b.best, b.cost, b.n_feasible, b.n_candidates) == (
+        o.best, o.cost, o.n_feasible, o.n_candidates)
 
     # the scalar views equal the winner's row of one batched pass
     plans = enumerate_tilings(op, cfg)
