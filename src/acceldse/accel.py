@@ -12,10 +12,10 @@ strings over the dimension letters, outermost loop first:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
+from .documents import construct, parse_json, read_int, read_list, read_object
 from .errors import InvalidDocument
 
 PE_MIN = 3
@@ -82,6 +82,7 @@ class AcceleratorConfig:
 
 # Document keys, in field order; equal to the field names.
 _CONFIG_KEYS = tuple(f.name for f in fields(AcceleratorConfig))
+_INT_KEYS = tuple(f.name for f in fields(AcceleratorConfig) if f.type == "int")
 
 
 def validate_config(cfg: AcceleratorConfig) -> list[str]:
@@ -214,27 +215,11 @@ def iter_configs(space: ParamSpace):
 
 def load_accel(text: str) -> AcceleratorConfig:
     """Parse an accelerator config document (JSON object with the 7 fields)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDocument(f"accelerator document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidDocument("accelerator document must be a JSON object")
-    missing = [k for k in _CONFIG_KEYS if k not in doc]
-    if missing:
-        raise InvalidDocument(f"accelerator document missing fields: {missing}")
-    try:
-        cfg = AcceleratorConfig(
-            int(doc["pe_x"]),
-            int(doc["pe_y"]),
-            int(doc["act_cache_kb"]),
-            int(doc["wgt_cache_kb"]),
-            int(doc["out_cache_kb"]),
-            Dataflow(doc["dataflow"]),
-            str(doc["loop_order"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidDocument(f"accelerator document: {exc}") from exc
+    where = "accelerator document"
+    doc = read_object(parse_json(text, where), where, _CONFIG_KEYS, _CONFIG_KEYS)
+    values = [read_int(doc[key], where, key) if key in _INT_KEYS else doc[key]
+              for key in _CONFIG_KEYS]
+    cfg = construct(AcceleratorConfig, where, *values)
     violations = validate_config(cfg)
     if violations:
         raise InvalidDocument("invalid accelerator config: " + "; ".join(violations))
@@ -243,23 +228,11 @@ def load_accel(text: str) -> AcceleratorConfig:
 
 def load_space(text: str) -> ParamSpace:
     """Parse a parameter-space document; omitted fields default to the full space."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDocument(f"space document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidDocument("space document must be a JSON object")
-    kwargs = {}
-    mapping = dict(zip(_CONFIG_KEYS, (f.name for f in fields(ParamSpace))))
-    unknown = set(doc) - set(mapping)
-    if unknown:
-        raise InvalidDocument(f"space document: unknown fields {sorted(unknown)}")
-    for key, attr in mapping.items():
-        if key in doc:
-            if not isinstance(doc[key], list) or not doc[key]:
-                raise InvalidDocument(f"space document: {key} must be a non-empty list")
-            kwargs[attr] = tuple(doc[key])
-    try:
-        return ParamSpace(**kwargs)
-    except ValueError as exc:
-        raise InvalidDocument(f"space document: {exc}") from exc
+    where = "space document"
+    doc = read_object(parse_json(text, where), where, _CONFIG_KEYS)
+    kwargs = {
+        f.name: read_list(doc[key], where, key, read_int if key in _INT_KEYS else None)
+        for key, f in zip(_CONFIG_KEYS, fields(ParamSpace))
+        if key in doc
+    }
+    return construct(ParamSpace, where, **kwargs)

@@ -18,10 +18,15 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import astuple, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .accel import AreaConstants, ParamSpace, area, load_accel, load_space
 from .costmodel import (
+    BREAKDOWN_FIELDS,
+    COST_MODEL_VERSION,
+    TILING_FIELDS,
     CostBreakdown,
     CostConstants,
     CostWeights,
@@ -31,6 +36,7 @@ from .costmodel import (
     hw_cost,
     subnet_total,
 )
+from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
     GeneratorNet,
@@ -43,7 +49,17 @@ from .hwsearch import (
 )
 from .joint import JointWeights, co_search_step, load_supernet_state
 from .tiling import map_subnet
-from .workload import load_subnet
+from .workload import encode_operator, load_subnet
+
+# Document keys, each read from the type that owns it.
+_CONSTANT_FIELDS = tuple(f.name for f in fields(CostConstants) if f.name != "area")
+_AREA_FIELDS = tuple(f.name for f in fields(AreaConstants))
+_RECORD_KEYS = ("key", "cost")
+# A memo record's cost: `cycles` is its one integer field, the rest are numbers.
+_BREAKDOWN_READERS = tuple((name, read_int if name == "cycles" else read_number)
+                           for name in BREAKDOWN_FIELDS)
+_key_constants = attrgetter(*_CONSTANT_FIELDS, *(f"area.{name}" for name in _AREA_FIELDS))
+
 
 def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
@@ -56,40 +72,18 @@ def _read_text(path: str) -> str:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
 
 
-def _breakdown_from_dict(d: dict) -> CostBreakdown:
-    """Parse a memo record's cost.  `cycles` must be an integer and the other
-    fields numbers; booleans are neither."""
-    cycles = d["cycles"]
-    if isinstance(cycles, bool) or not isinstance(cycles, int):
-        raise TypeError(f"cycles must be an integer, got {cycles!r}")
-    floats = {}
-    for name in ("energy_mj", "latency_ms", "dram_bytes", "area_mm2"):
-        value = d[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"{name} must be a number, got {value!r}")
-        floats[name] = float(value)
-    return CostBreakdown(cycles=cycles, **floats)
-
-
 def load_constants(text: str) -> CostConstants:
     """Parse a constants document; omitted keys keep their defaults."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDocument(f"constants document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidDocument("constants document must be a JSON object")
-    area_doc = doc.pop("area", {})
-    known = {"f_clk_mhz", "dram_bw_bytes_per_cycle", "e_mac_pj",
-             "e_sram_pj_per_byte", "e_dram_pj_per_byte"}
-    unknown = set(doc) - known
-    if unknown:
-        raise InvalidDocument(f"constants document: unknown fields {sorted(unknown)}")
-    try:
-        area = AreaConstants(**area_doc) if area_doc else AreaConstants()
-        return CostConstants(area=area, **{k: float(v) for k, v in doc.items()})
-    except (TypeError, ValueError) as exc:
-        raise InvalidDocument(f"constants document: {exc}") from exc
+    where = "constants document"
+    doc = read_object(parse_json(text, where), where, (*_CONSTANT_FIELDS, "area"))
+    values = {k: read_number(v, where, k) for k, v in doc.items() if k != "area"}
+    if "area" in doc:
+        at = f"{where}: area"
+        area_doc = read_object(doc["area"], at, _AREA_FIELDS)
+        values["area"] = construct(
+            AreaConstants, at, **{k: read_number(v, at, k) for k, v in area_doc.items()}
+        )
+    return construct(CostConstants, where, **values)
 
 
 class CostCache:
@@ -107,33 +101,25 @@ class CostCache:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                if not isinstance(record["key"], str):
-                    raise TypeError(f"key must be a string, got {record['key']!r}")
-                self._memo[record["key"]] = _breakdown_from_dict(record["cost"])
-            except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
-                print(
-                    f"warning: ignoring corrupt cache record at {path}:{lineno}: {exc}",
-                    file=sys.stderr,
-                )
+                record = read_object(parse_json(line, "record"), "record", _RECORD_KEYS,
+                                     _RECORD_KEYS)
+                if type(record["key"]) is not str:
+                    raise InvalidDocument(f"key must be a string, got {record['key']!r}")
+                cost = read_object(record["cost"], "cost", BREAKDOWN_FIELDS, BREAKDOWN_FIELDS)
+                self._memo[record["key"]] = CostBreakdown(
+                    *[read(cost[name], "cost", name) for name, read in _BREAKDOWN_READERS])
+            except InvalidDocument as exc:
+                print(f"warning: ignoring corrupt cache record at {path}:{lineno}: {exc}",
+                      file=sys.stderr)
 
     @staticmethod
     def key(op, cfg, tile, constants) -> str:
         payload = {
-            "op": [op.kernel, op.stride, op.out_rows, op.in_channels,
-                   op.out_channels, op.act_bits, op.wgt_bits],
-            "cfg": list(cfg.as_tuple()),
-            "tile": list(tile.as_tuple()),
-            "constants": [
-                constants.f_clk_mhz,
-                constants.dram_bw_bytes_per_cycle,
-                constants.e_mac_pj,
-                constants.e_sram_pj_per_byte,
-                constants.e_dram_pj_per_byte,
-                constants.area.per_pe_mm2,
-                constants.area.per_kb_mm2,
-                constants.area.fixed_mm2,
-            ],
+            "version": COST_MODEL_VERSION,
+            "op": encode_operator(op),
+            "cfg": cfg.as_tuple(),
+            "tile": tile.as_tuple(),
+            "constants": _key_constants(constants),
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -159,33 +145,39 @@ def _write_report(text: str, out: str | None) -> None:
 
 
 def _load_tilings(text: str, n_ops: int) -> list[TilingPlan]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDocument(f"tiling document is not valid JSON: {exc}") from exc
-    fields = ("t_oc", "t_ic", "t_ow", "t_oh")
+    """Parse a tiling document: one plan object for every operator, or
+    ``{"tilings": [plan, ...]}`` with one plan per operator."""
+    doc = parse_json(text, "tiling document")
 
     def plan_of(obj, where):
-        if not isinstance(obj, dict) or set(obj) != set(fields):
-            raise InvalidDocument(f"{where} must be an object with fields {fields}")
-        try:
-            return TilingPlan(**{f: int(obj[f]) for f in fields})
-        except ValueError as exc:
-            raise InvalidDocument(f"{where}: {exc}") from exc
+        read_object(obj, where, TILING_FIELDS, TILING_FIELDS)
+        return construct(TilingPlan, where,
+                         *[read_int(obj[name], where, name) for name in TILING_FIELDS])
 
     if isinstance(doc, dict) and "tilings" in doc:
-        plans = [plan_of(obj, f"tiling {i}") for i, obj in enumerate(doc["tilings"])]
+        read_object(doc, "tiling document", ("tilings",))
+        raw = read_list(doc["tilings"], "tiling document", "tilings")
+        plans = [plan_of(obj, f"tiling {i}") for i, obj in enumerate(raw)]
         if len(plans) != n_ops:
             raise InvalidDocument(f"tiling document has {len(plans)} entries for {n_ops} operators")
         return plans
     return [plan_of(doc, "tiling")] * n_ops
 
 
+def _constants(args) -> CostConstants:
+    return load_constants(_read_text(args.constants)) if args.constants else CostConstants()
+
+
+def _from_args(cls, args):
+    """An instance of the dataclass `cls` from the flags `_add_fields` made for it."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def cmd_cost(args) -> int:
     subnet = load_subnet(_read_text(args.workload))
     cfg = load_accel(_read_text(args.accel))
-    constants = load_constants(_read_text(args.constants)) if args.constants else CostConstants()
-    weights = CostWeights(args.lambda_e, args.lambda_l, args.lambda_a)
+    constants = _constants(args)
+    weights = _from_args(CostWeights, args)
     cache = CostCache(args.cache) if args.cache else None
 
     if args.tiling:
@@ -216,7 +208,7 @@ def cmd_cost(args) -> int:
         "per_operator": [
             {
                 "op_index": i,
-                "tiling": {"t_oc": p.t_oc, "t_ic": p.t_ic, "t_ow": p.t_ow, "t_oh": p.t_oh},
+                "tiling": p.to_dict(),
                 "cost": c.to_dict(),
                 "hw_cost": hw_cost(c, weights),
                 "edap": edap(c),
@@ -228,8 +220,7 @@ def cmd_cost(args) -> int:
             "hw_cost": hw_cost(total, weights),
             "edap": edap(total),
         },
-        "weights": {"lambda_e": weights.lambda_e, "lambda_l": weights.lambda_l,
-                    "lambda_a": weights.lambda_a},
+        "weights": {f.name: getattr(weights, f.name) for f in fields(weights)},
     }
     _write_report(json.dumps(report, indent=2) + "\n", args.out)
     return 0
@@ -238,26 +229,13 @@ def cmd_cost(args) -> int:
 def cmd_search_tile(args) -> int:
     subnet = load_subnet(_read_text(args.workload))
     cfg = load_accel(_read_text(args.accel))
-    constants = load_constants(_read_text(args.constants)) if args.constants else CostConstants()
-    mapping = map_subnet(subnet, cfg, constants)
+    mapping = map_subnet(subnet, cfg, _constants(args))
 
-    lines = ["op_index,t_oc,t_ic,t_ow,t_oh,energy_mj,latency_ms,dram_bytes"]
+    cost_columns = ("energy_mj", "latency_ms", "dram_bytes")
+    lines = [",".join(("op_index", *TILING_FIELDS, *cost_columns))]
     for i, r in enumerate(mapping.per_op):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    i,
-                    r.best.t_oc,
-                    r.best.t_ic,
-                    r.best.t_ow,
-                    r.best.t_oh,
-                    r.cost.energy_mj,
-                    r.cost.latency_ms,
-                    r.cost.dram_bytes,
-                )
-            )
-        )
+        costs = (getattr(r.cost, name) for name in cost_columns)
+        lines.append(",".join(_fmt(v) for v in (i, *r.best.as_tuple(), *costs)))
     csv_text = "\n".join(lines) + "\n"
     summary = {
         "aggregate_cost": mapping.total.to_dict(),
@@ -275,42 +253,20 @@ def cmd_search_tile(args) -> int:
     return 0
 
 
-def _budget_from_args(args) -> SearchBudget:
-    return SearchBudget(
-        max_evaluations=args.max_evaluations,
-        seed=args.seed,
-        initial_temperature=args.initial_temperature,
-        cooling_rate=args.cooling_rate,
-        steps=args.steps,
-        samples_per_step=args.samples_per_step,
-        learning_rate=args.learning_rate,
-        gumbel_tau=args.gumbel_tau,
-        tau_decay=args.tau_decay,
-        baseline_decay=args.baseline_decay,
-    )
-
-
 def _write_trace_csv(out: str, result) -> None:
+    """One CSV row per trace row (`TraceRow` or `AnnealRow`), headed by its field names."""
     path = Path(out).with_suffix("").as_posix() + ".trace.csv"
-    if result.engine == "generator":
-        lines = ["step,mean_cost,best_cost,tau,baseline"]
-        for row in result.trace:
-            lines.append(",".join(_fmt(v) for v in
-                                  (row.step, row.mean_cost, row.best_cost, row.tau, row.baseline)))
-    else:
-        lines = ["step,cost,best_cost,temperature"]
-        for row in result.trace:
-            lines.append(",".join(_fmt(v) for v in
-                                  (row.step, row.cost, row.best_cost, row.temperature)))
+    lines = [",".join(f.name for f in fields(result.trace[0]))]
+    lines += [",".join(_fmt(v) for v in astuple(row)) for row in result.trace]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_search_accel(args) -> int:
     subnet = load_subnet(_read_text(args.workload))
     space = load_space(_read_text(args.space)) if args.space else ParamSpace()
-    constants = load_constants(_read_text(args.constants)) if args.constants else CostConstants()
-    weights = CostWeights(args.lambda_e, args.lambda_l, args.lambda_a)
-    budget = _budget_from_args(args)
+    constants = _constants(args)
+    weights = _from_args(CostWeights, args)
+    budget = _from_args(SearchBudget, args)
 
     report_extra = {}
     if args.engine == "exhaustive":
@@ -348,19 +304,9 @@ def cmd_search_accel(args) -> int:
 def cmd_search_co(args) -> int:
     state = load_supernet_state(_read_text(args.state))
     space = load_space(_read_text(args.space)) if args.space else ParamSpace()
-    constants = load_constants(_read_text(args.constants)) if args.constants else CostConstants()
-    weights = JointWeights(
-        lam=args.lam,
-        cost_weights=CostWeights(args.lambda_e, args.lambda_l, args.lambda_a),
-    )
-    report = co_search_step(
-        state,
-        space,
-        constants,
-        weights,
-        _budget_from_args(args),
-        engine=args.engine,
-    )
+    weights = JointWeights(lam=args.lam, cost_weights=_from_args(CostWeights, args))
+    report = co_search_step(state, space, _constants(args), weights,
+                            _from_args(SearchBudget, args), engine=args.engine)
     _write_report(report.to_json() + "\n", args.out)
     return 0
 
@@ -371,22 +317,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, metavar="N",
                         help="accepted for compatibility and ignored: evaluation runs on one "
                              "thread, so results never depend on N")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lambda-e", dest="lambda_e", type=float, default=0.33)
-    parser.add_argument("--lambda-l", dest="lambda_l", type=float, default=0.33)
-    parser.add_argument("--lambda-a", dest="lambda_a", type=float, default=0.33)
+    parser.add_argument("--seed", type=int, default=SearchBudget.seed)
+    _add_fields(parser, CostWeights)
+
+
+def _add_fields(parser: argparse.ArgumentParser, cls, exclude=()) -> None:
+    """A ``--field-name`` flag per field of the dataclass `cls`, typed and defaulted by it."""
+    for f in fields(cls):
+        if f.name not in exclude:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                                default=f.default)
 
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-evaluations", type=int, default=1000)
-    parser.add_argument("--initial-temperature", type=float, default=1.0)
-    parser.add_argument("--cooling-rate", type=float, default=0.98)
-    parser.add_argument("--steps", type=int, default=100)
-    parser.add_argument("--samples-per-step", type=int, default=8)
-    parser.add_argument("--learning-rate", type=float, default=0.1)
-    parser.add_argument("--gumbel-tau", type=float, default=5.0)
-    parser.add_argument("--tau-decay", type=float, default=0.95)
-    parser.add_argument("--baseline-decay", type=float, default=0.9)
+    _add_fields(parser, SearchBudget, exclude=("seed",))
     parser.add_argument("--gumbel-mode", choices=("paper", "standard"), default="standard")
 
 
@@ -423,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--state", required=True, help="supernet state JSON")
     co.add_argument("--space", help="parameter-space JSON (default: full space)")
     co.add_argument("--engine", default="anneal", choices=("anneal", "generator", "exhaustive"))
-    co.add_argument("--lambda", dest="lam", type=float, default=0.001)
+    co.add_argument("--lambda", dest="lam", type=float, default=JointWeights.lam)
     _add_common(co)
     _add_budget(co)
     co.set_defaults(func=cmd_search_co)
@@ -447,6 +391,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value is too large for the cost model: {exc}", file=sys.stderr)
         return 2
 
 

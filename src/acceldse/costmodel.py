@@ -40,6 +40,10 @@ latency_ms * f_clk_mhz * 1000 == cycles exactly.
 All integer quantities are carried in int64 and byte counts are exact
 multiples of 1/8 in float64, so scalar and batched evaluation are
 bit-identical by construction.
+
+`COST_MODEL_VERSION` names this model.  Any change to the model's outputs
+bumps it, so that the `--cache` memo, whose key includes it, never serves a
+cost the current model would not compute.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ import numpy as np
 from .accel import AcceleratorConfig, AreaConstants, Dataflow, area
 from .errors import NoFeasibleTiling
 from .workload import OperatorDescriptor, operator_footprints
+
+COST_MODEL_VERSION = 1
 
 TILE_POW2_MAX = 10
 TILE_SIZES = tuple(2**i for i in range(TILE_POW2_MAX + 1))
@@ -88,6 +94,13 @@ class TilingPlan:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.t_oc, self.t_ic, self.t_ow, self.t_oh)
+
+    def to_dict(self) -> dict:
+        """The tiling document of this plan (see `cli._load_tilings`)."""
+        return dict(zip(TILING_FIELDS, self.as_tuple()))
+
+
+TILING_FIELDS = tuple(f.name for f in fields(TilingPlan))
 
 
 @dataclass(frozen=True)
@@ -132,7 +145,10 @@ class CostBreakdown:
     area_mm2: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in BREAKDOWN_FIELDS}
+
+
+BREAKDOWN_FIELDS = tuple(f.name for f in fields(CostBreakdown))
 
 
 def subnet_total(costs, area_mm2: float) -> CostBreakdown:

@@ -29,7 +29,7 @@ from .costmodel import CostConstants, CostWeights, hw_cost
 from .errors import NoFeasibleTiling, SpaceTooLarge
 from .quant import gumbel_softmax
 from .tiling import map_subnet
-from .workload import SubnetDescriptor, encode_operator
+from .workload import OPERATOR_FIELDS, SubnetDescriptor, encode_operator
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,8 @@ class FeatureNormalizers:
     count: float = 64.0
 
     def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.kernel,
-                self.stride,
-                self.out_rows,
-                self.in_channels,
-                self.out_channels,
-                self.act_bits,
-                self.wgt_bits,
-            ],
-            dtype=np.float64,
-        )
+        """The per-operator-field maxima, in encoding order (`count` excluded)."""
+        return np.array([getattr(self, name) for name in OPERATOR_FIELDS], dtype=np.float64)
 
 
 def featurize_subnet(

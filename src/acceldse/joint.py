@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .accel import AcceleratorConfig, ParamSpace
 from .costmodel import CostConstants, CostWeights, hw_cost
-from .errors import InvalidDocument
+from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .hwsearch import (
     GeneratorNet,
     SearchBudget,
@@ -26,12 +26,7 @@ from .hwsearch import (
     train_generator,
 )
 from .tiling import SubnetMapping, map_subnet
-from .workload import (
-    OPERATOR_FIELDS,
-    OperatorDescriptor,
-    SubnetDescriptor,
-    with_bits,
-)
+from .workload import OperatorDescriptor, SubnetDescriptor, operator_from_dict, with_bits
 
 ENGINES = ("anneal", "generator", "exhaustive")
 
@@ -71,12 +66,22 @@ class SupernetLayer:
 
 @dataclass(frozen=True)
 class SupernetState:
+    """Supernet layers plus the bitwidth candidates every beta row weights."""
+
     layers: tuple[SupernetLayer, ...]
     bit_choices: tuple[int, ...] = (2, 4, 8)
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("supernet has no layers")
+        rows = (row for layer in self.layers for row in layer.beta_w + layer.beta_a)
+        if any(len(row) != len(self.bit_choices) for row in rows):
+            raise ValueError(f"each beta row must hold one weight per bit choice "
+                             f"{self.bit_choices}")
+
+
+_STATE_KEYS = tuple(f.name for f in fields(SupernetState))
+_LAYER_KEYS = tuple(f.name for f in fields(SupernetLayer))
 
 
 def select_subnet(state: SupernetState) -> SubnetDescriptor:
@@ -118,22 +123,10 @@ class CoSearchReport:
 
     def to_dict(self) -> dict:
         return {
-            "subnet": {
-                "operators": [
-                    {name: getattr(op, name) for name in OPERATOR_FIELDS}
-                    for op in self.subnet
-                ]
-            },
+            "subnet": self.subnet.to_dict(),
             "accel_config": self.config.to_dict(),
             "tilings": [
-                {
-                    "op_index": i,
-                    "t_oc": r.best.t_oc,
-                    "t_ic": r.best.t_ic,
-                    "t_ow": r.best.t_ow,
-                    "t_oh": r.best.t_oh,
-                }
-                for i, r in enumerate(self.mapping.per_op)
+                {"op_index": i, **r.best.to_dict()} for i, r in enumerate(self.mapping.per_op)
             ],
             "per_op_costs": [r.cost.to_dict() for r in self.mapping.per_op],
             "aggregate_cost": self.mapping.total.to_dict(),
@@ -201,29 +194,25 @@ def co_search_step(
 def load_supernet_state(text: str) -> SupernetState:
     """Parse a supernet document: per-layer alphas, candidate operator shapes
     (null = skip), and per-candidate bitwidth parameters."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDocument(f"supernet document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "layers" not in doc:
-        raise InvalidDocument('supernet document must be an object with a "layers" list')
-    bit_choices = tuple(doc.get("bit_choices", (2, 4, 8)))
+    where = "supernet document"
+    doc = read_object(parse_json(text, where), where, _STATE_KEYS, ("layers",))
+    kwargs = {}
+    if "bit_choices" in doc:
+        kwargs["bit_choices"] = tuple(read_list(doc["bit_choices"], where, "bit_choices", read_int))
     layers = []
-    for li, raw in enumerate(doc["layers"]):
-        try:
-            candidates = tuple(
-                None if c is None else OperatorDescriptor(**c) for c in raw["candidates"]
-            )
-            layer = SupernetLayer(
-                alpha=tuple(float(a) for a in raw["alpha"]),
-                candidates=candidates,
-                beta_w=tuple(tuple(float(b) for b in row) for row in raw["beta_w"]),
-                beta_a=tuple(tuple(float(b) for b in row) for row in raw["beta_a"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidDocument(f"supernet layer {li}: {exc}") from exc
-        layers.append(layer)
-    try:
-        return SupernetState(layers=tuple(layers), bit_choices=bit_choices)
-    except ValueError as exc:
-        raise InvalidDocument(str(exc)) from exc
+    for li, raw in enumerate(read_list(doc["layers"], where, "layers")):
+        at = f"supernet layer {li}"
+        read_object(raw, at, _LAYER_KEYS, _LAYER_KEYS)
+        candidates = tuple(
+            None if c is None else operator_from_dict(c, f"{at}: candidate {ci}")
+            for ci, c in enumerate(read_list(raw["candidates"], at, "candidates"))
+        )
+        alpha = tuple(read_list(raw["alpha"], at, "alpha", read_number))
+        beta_w = tuple(read_list(raw["beta_w"], at, "beta_w", _read_row))
+        beta_a = tuple(read_list(raw["beta_a"], at, "beta_a", _read_row))
+        layers.append(construct(SupernetLayer, at, alpha, candidates, beta_w, beta_a))
+    return construct(SupernetState, where, tuple(layers), **kwargs)
+
+
+def _read_row(value, where: str, index: int) -> tuple[float, ...]:
+    return tuple(read_list(value, where, index, read_number))

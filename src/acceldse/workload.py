@@ -11,10 +11,11 @@ is never specified independently:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .errors import InvalidDocument
+from .documents import construct, parse_json, read_int, read_list, read_object
 
 ALLOWED_BITS = (2, 4, 8)
 
@@ -48,7 +49,7 @@ class OperatorDescriptor:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in ("act_bits", "wgt_bits"):
             value = getattr(self, name)
-            if value not in ALLOWED_BITS:
+            if type(value) is not int or value not in ALLOWED_BITS:
                 raise ValueError(f"{name} must be one of {ALLOWED_BITS}, got {value!r}")
 
     @property
@@ -76,6 +77,13 @@ class SubnetDescriptor:
     def __getitem__(self, index: int) -> OperatorDescriptor:
         return self.operators[index]
 
+    def to_dict(self) -> dict:
+        """The workload document of this subnet (see `load_subnet`)."""
+        return {"operators": [dict(zip(OPERATOR_FIELDS, encode_operator(op))) for op in self]}
+
+
+_SUBNET_KEYS = tuple(f.name for f in fields(SubnetDescriptor))
+
 
 @dataclass(frozen=True)
 class OperatorFootprints:
@@ -91,9 +99,8 @@ class OperatorFootprints:
     out_elems: int
 
 
-def encode_operator(op: OperatorDescriptor) -> tuple[int, ...]:
-    """Return the 7-field encoding vector, fixed field order."""
-    return tuple(getattr(op, name) for name in OPERATOR_FIELDS)
+# encode_operator(op): the 7-field encoding vector, fixed field order.
+encode_operator = attrgetter(*OPERATOR_FIELDS)
 
 
 def decode_operator(vector: Sequence[int]) -> OperatorDescriptor:
@@ -112,51 +119,25 @@ def operator_footprints(op: OperatorDescriptor) -> OperatorFootprints:
     return OperatorFootprints(macs, act_in_bytes, wgt_bytes, out_elems)
 
 
-def _operator_from_mapping(raw: dict, index: int) -> OperatorDescriptor:
-    if not isinstance(raw, dict):
-        raise InvalidDocument(f"operator {index}: expected an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(OPERATOR_FIELDS)
-    if unknown:
-        raise InvalidDocument(f"operator {index}: unknown fields {sorted(unknown)}")
-    values = {}
-    for name in OPERATOR_FIELDS:
-        if name not in raw:
-            raise InvalidDocument(f"operator {index}: missing field {name}")
-        value = raw[name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidDocument(f"operator {index}: {name} must be an integer, got {value!r}")
-        values[name] = value
-    try:
-        return OperatorDescriptor(**values)
-    except ValueError as exc:
-        raise InvalidDocument(f"operator {index}: {exc}") from exc
+def operator_from_dict(raw, where: str) -> OperatorDescriptor:
+    """Read one operator object of a workload or supernet document."""
+    read_object(raw, where, OPERATOR_FIELDS, OPERATOR_FIELDS)
+    return construct(OperatorDescriptor, where,
+                     *[read_int(raw[name], where, name) for name in OPERATOR_FIELDS])
 
 
 def load_subnet(text: str) -> SubnetDescriptor:
     """Parse a workload document: ``{"operators": [{...7 integer fields...}, ...]}``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDocument(f"workload document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "operators" not in doc:
-        raise InvalidDocument('workload document must be an object with an "operators" list')
-    ops_raw = doc["operators"]
-    if not isinstance(ops_raw, list):
-        raise InvalidDocument('"operators" must be a list')
-    if not ops_raw:
-        raise InvalidDocument("empty subnet")
-    ops = tuple(_operator_from_mapping(raw, i) for i, raw in enumerate(ops_raw))
-    return SubnetDescriptor(ops)
+    where = "workload document"
+    doc = read_object(parse_json(text, where), where, _SUBNET_KEYS, _SUBNET_KEYS)
+    ops = read_list(doc["operators"], where, "operators")
+    return construct(SubnetDescriptor, where,
+                     tuple(operator_from_dict(raw, f"operator {i}") for i, raw in enumerate(ops)))
 
 
 def subnet_to_doc(subnet: SubnetDescriptor) -> str:
     """Serialize a subnet back to the workload document format."""
-    payload = {
-        "operators": [
-            {name: getattr(op, name) for name in OPERATOR_FIELDS} for op in subnet
-        ]
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps(subnet.to_dict(), indent=2)
 
 
 def with_bits(op: OperatorDescriptor, act_bits: int, wgt_bits: int) -> OperatorDescriptor:

@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from acceldse import CostBreakdown, Dataflow, exhaustive_search
+from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search
 from acceldse.cli import CostCache, main
 from conftest import make_reduced_space_24, make_small_subnet
 
@@ -288,3 +290,132 @@ def test_cache_put_appends_after_truncated_record(tmp_path, monkeypatch):
     assert lines[0] == truncated
     assert [json.loads(line)["key"] for line in lines[1:]] == ["a", "b", "c"]
     assert CostCache(str(path)).get("c") == cost
+
+
+def test_cache_key_includes_cost_model_version(docs, tmp_path, monkeypatch):
+    """A memo written under another cost-model version is never served."""
+    cache = tmp_path / "memo.jsonl"
+    out = tmp_path / "c.json"
+    args = ["cost", "--workload", docs["workload.json"], "--accel", docs["accel.json"],
+            "--tiling", docs["best.json"], "--cache", str(cache), "--out", str(out)]
+    assert main(args) == 0
+    report = out.read_bytes()
+    monkeypatch.setattr(cli, "COST_MODEL_VERSION", costmodel.COST_MODEL_VERSION + 1)
+    served = []
+    monkeypatch.setattr(cli, "estimate_cost",
+                        lambda *a: served.append(a) or costmodel.estimate_cost(*a))
+    assert main(args) == 0
+    assert len(served) == 1  # recomputed, not served
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert len(records) == 2 and records[0]["key"] != records[1]["key"]
+    assert records[0]["cost"] == records[1]["cost"]
+    assert out.read_bytes() == report
+
+
+# Valid documents of every kind, each run by the cheapest command that reads it.
+TWO_CONFIG_SPACE = {
+    "pe_x": [8, 16], "pe_y": [8], "act_cache_kb": [64], "wgt_cache_kb": [64],
+    "out_cache_kb": [64], "dataflow": ["WS"], "loop_order": ["BIOHW"]}
+SUPERNET = {
+    "bit_choices": [2, 4, 8],
+    "layers": [{
+        "alpha": [0.2, 0.8],
+        "candidates": [None, {"kernel": 3, "stride": 1, "out_rows": 8, "in_channels": 16,
+                              "out_channels": 32, "act_bits": 8, "wgt_bits": 8}],
+        "beta_w": [[1, 0, 0], [0, 1, 0]],
+        "beta_a": [[1, 0, 0], [0, 0, 1]],
+    }],
+}
+VALID_DOCS = {
+    "workload": REF_WORKLOAD,
+    "accel": REF_ACCEL,
+    "tiling": {"tilings": [BEST_TILING]},
+    "constants": {"f_clk_mhz": 200.0, "e_mac_pj": 1, "area": {"fixed_mm2": 0.1}},
+    "space": TWO_CONFIG_SPACE,
+    "supernet": SUPERNET,
+}
+
+
+def run_with_document(tmp_path, kind, text):
+    """Run the command that reads a document of `kind`, given as `text`; the
+    other inputs are the valid documents above."""
+    paths = {}
+    for name, doc in VALID_DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text if name == kind else json.dumps(doc))
+        paths[name] = str(path)
+    if kind == "space":
+        argv = ["search", "accel", "--workload", paths["workload"], "--space", paths["space"],
+                "--engine", "exhaustive"]
+    elif kind == "supernet":
+        argv = ["search", "co", "--state", paths["supernet"], "--space", paths["space"],
+                "--engine", "exhaustive"]
+    else:
+        argv = ["cost", "--workload", paths["workload"], "--accel", paths["accel"],
+                "--tiling", paths["tiling"], "--constants", paths["constants"]]
+    return main([*argv, "--out", str(tmp_path / "out.json")])
+
+
+def replaced(doc, path, value):
+    """A deep copy of `doc` with the value at `path` (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("supernet", ("bit_choices",), 5),
+    ("supernet", ("layers",), 5),
+    ("supernet", ("layers", 0, "beta_w", 1), [0, 0, 0, 1]),
+    ("supernet", ("bit_choices",), [2.0, 4, 8]),
+    ("tiling", ("tilings",), 5),
+    ("tiling", ("tilings", 0, "t_oc"), None),
+    ("tiling", ("tilings", 0, "t_oc"), 4.7),
+    ("space", ("pe_x",), ["a"]),
+    ("space", ("pe_x",), [8.5]),
+    ("accel", ("pe_x",), 16.7),
+    ("constants", ("f_clk_mhz",), float("nan")),
+    # a shape too large for the cost model's int64 arrays
+    ("workload", ("operators", 0, "kernel"), 2**40),
+], ids=["bit-choices-int", "layers-int", "beta-row-length", "bit-choice-float",
+        "tilings-int", "t-oc-null", "t-oc-float", "pe-x-string", "pe-x-float-candidate",
+        "pe-x-float", "clock-nan", "kernel-too-large"])
+def test_malformed_document_exit_2(tmp_path, capsys, kind, path, value):
+    text = json.dumps(replaced(VALID_DOCS[kind], path, value))
+    assert run_with_document(tmp_path, kind, text) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def document_paths(doc, prefix=()):
+    """Every key and index path inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from document_paths(value, (*prefix, key))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_field_replacement_ends_in_documented_exit(tmp_path, capsys, data):
+    kind = data.draw(st.sampled_from(sorted(VALID_DOCS)))
+    path = data.draw(st.sampled_from(list(document_paths(VALID_DOCS[kind]))))
+    text = json.dumps(replaced(VALID_DOCS[kind], path, data.draw(json_values)))
+    assert run_with_document(tmp_path, kind, text) in (0, 2, 3, 4)
+    capsys.readouterr()

@@ -41,6 +41,8 @@ def test_encode_decode_identity():
 def test_invalid_fields_rejected():
     with pytest.raises(ValueError, match="act_bits"):
         OperatorDescriptor(3, 1, 4, 8, 8, 3, 8)
+    with pytest.raises(ValueError, match="act_bits"):
+        OperatorDescriptor(3, 1, 4, 8, 8, 2.0, 8)
     with pytest.raises(ValueError, match="kernel"):
         OperatorDescriptor(0, 1, 4, 8, 8, 8, 8)
     with pytest.raises(ValueError, match="stride"):
