@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 from operator import attrgetter
@@ -89,12 +90,17 @@ def load_constants(text: str) -> CostConstants:
 class CostCache:
     """Append-only memo of cost breakdowns, keyed by a content hash of the
     (operator, accelerator, tiling, constants) tuple.  Corrupt records are
-    skipped with a warning and recomputed."""
+    skipped with a warning and recomputed.
+
+    The file is opened once, on the first `put`, for appending (`O_APPEND`),
+    and each record goes out in one `os.write`, so records of concurrent
+    writers never interleave.  `close` releases the descriptor."""
 
     def __init__(self, path: str):
         self.path = Path(path)
         self._memo: dict[str, CostBreakdown] = {}
-        text = self.path.read_text() if self.path.exists() else ""
+        self._fd: int | None = None
+        text = _read_text(path) if self.path.exists() else ""
         # a truncated last record may lack its newline; never append onto it
         self._needs_newline = bool(text) and not text.endswith("\n")
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,11 +136,21 @@ class CostCache:
         if key in self._memo:
             return
         self._memo[key] = cost
-        with open(self.path, "a") as fh:
-            if self._needs_newline:
-                fh.write("\n")
-                self._needs_newline = False
-            fh.write(json.dumps({"key": key, "cost": cost.to_dict()}) + "\n")
+        record = json.dumps({"key": key, "cost": cost.to_dict()}) + "\n"
+        if self._needs_newline:
+            record = "\n" + record
+            self._needs_newline = False
+        if self._fd is None:
+            try:
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            except OSError as exc:
+                raise InvalidDocument(f"cannot write {self.path}: {exc}") from exc
+        os.write(self._fd, record.encode())
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 def _write_report(text: str, out: str | None) -> None:
@@ -173,13 +189,8 @@ def _from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def cmd_cost(args) -> int:
-    subnet = load_subnet(_read_text(args.workload))
-    cfg = load_accel(_read_text(args.accel))
-    constants = _constants(args)
-    weights = _from_args(CostWeights, args)
-    cache = CostCache(args.cache) if args.cache else None
-
+def _cost_operators(args, subnet, cfg, constants, weights, cache):
+    """Plans, per-operator costs and the subnet total of `cost`."""
     if args.tiling:
         plans = _load_tilings(_read_text(args.tiling), len(subnet))
         costs = []
@@ -194,15 +205,27 @@ def cmd_cost(args) -> int:
                 if cache:
                     cache.put(key, cost)
             costs.append(cost)
-        total = subnet_total(costs, area(cfg, constants.area))
-    else:
-        mapping = map_subnet(subnet, cfg, constants, weights)
-        plans = [r.best for r in mapping.per_op]
-        costs = [r.cost for r in mapping.per_op]
+        return plans, costs, subnet_total(costs, area(cfg, constants.area))
+    mapping = map_subnet(subnet, cfg, constants, weights)
+    plans = [r.best for r in mapping.per_op]
+    costs = [r.cost for r in mapping.per_op]
+    if cache:
+        for op, plan, cost in zip(subnet, plans, costs):
+            cache.put(CostCache.key(op, cfg, plan, constants), cost)
+    return plans, costs, mapping.total
+
+
+def cmd_cost(args) -> int:
+    subnet = load_subnet(_read_text(args.workload))
+    cfg = load_accel(_read_text(args.accel))
+    constants = _constants(args)
+    weights = _from_args(CostWeights, args)
+    cache = CostCache(args.cache) if args.cache else None
+    try:
+        plans, costs, total = _cost_operators(args, subnet, cfg, constants, weights, cache)
+    finally:
         if cache:
-            for op, plan, cost in zip(subnet, plans, costs):
-                cache.put(CostCache.key(op, cfg, plan, constants), cost)
-        total = mapping.total
+            cache.close()
 
     report = {
         "per_operator": [

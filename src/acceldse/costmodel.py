@@ -37,9 +37,20 @@ Latency assumes perfect overlap of compute and DRAM transfers:
 cycles = max(compute_cycles, ceil(dram_bytes / dram_bw)), and
 latency_ms * f_clk_mhz * 1000 == cycles exactly.
 
-All integer quantities are carried in int64 and byte counts are exact
-multiples of 1/8 in float64, so scalar and batched evaluation are
-bit-identical by construction.
+Every function here takes its tile sizes in one of three shapes: numpy
+int64 scalars (one tiling; the K=1 views `estimate_cost`, `compute_cycles`,
+`dram_traffic`, `tile_fits_caches`), flat arrays (one tiling per element),
+or an open grid (`np.meshgrid(..., sparse=True)`: one axis per tile
+dimension, as `tiling.batch_search` passes them).  On a grid each term is
+computed on the axes it depends on, so tile counts, halos and per-operand
+tile bytes are computed on at most 11 values, and only the terms that
+combine all four dimensions have the grid's full size.  Feasibility is a
+separate mask (`fits_caches_mask`) over the same inputs; `evaluate_tilings`
+scores infeasible tilings too.  Each element sees the same integer and
+float operations in every shape, integers are carried in int64 and byte
+counts are exact multiples of 1/8 in float64 (for operators inside the
+range `workload.OperatorDescriptor` accepts), so the three shapes give
+bit-identical results.
 
 `COST_MODEL_VERSION` names this model.  Any change to the model's outputs
 bumps it, so that the `--cache` memo, whose key includes it, never serves a
@@ -54,11 +65,10 @@ import numpy as np
 
 from .accel import AcceleratorConfig, AreaConstants, Dataflow, area
 from .errors import NoFeasibleTiling
-from .workload import OperatorDescriptor, operator_footprints
+from .workload import TILE_POW2_MAX, OperatorDescriptor, operator_footprints
 
 COST_MODEL_VERSION = 1
 
-TILE_POW2_MAX = 10
 TILE_SIZES = tuple(2**i for i in range(TILE_POW2_MAX + 1))
 
 # Loop dimensions each operand's tile index depends on.
@@ -184,15 +194,26 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _as_i64(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.int64)
+def _as_i64(values):
+    """Tile sizes as int64: an int64 scalar stays a scalar, anything else
+    becomes an int64 array (flat or an open grid)."""
+    return values if type(values) is np.int64 else np.asarray(values, dtype=np.int64)
 
 
-def _tile_counts(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> dict[str, np.ndarray]:
-    """Tile counts per loop dimension (batch fixed at one tile)."""
-    ones = np.ones_like(t_oc)
+def _select(condition, a, b):
+    """`np.where` that keeps scalar inputs scalar."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
+_ONE = np.int64(1)
+
+
+def _tile_counts(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> dict:
+    """Tile counts per loop dimension.  The batch loop (B) always has one
+    tile, so it never changes a count or a fetch and has no entry."""
     return {
-        "B": ones,
         "I": _ceil_div(op.in_channels, t_ic),
         "O": _ceil_div(op.out_channels, t_oc),
         "H": _ceil_div(op.out_rows, t_oh),
@@ -201,21 +222,26 @@ def _tile_counts(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> dict[str, np
 
 
 def _spatial_dims(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
+    """The two tile dimensions mapped onto the PE array, and the MACs one
+    array cell performs per tile (tile_macs / (d1 * d2), an exact quotient)."""
+    k2 = op.kernel**2
     if cfg.dataflow is Dataflow.WS:
-        return t_ic, t_oc
+        return t_ic, t_oc, t_ow * t_oh * k2
     if cfg.dataflow is Dataflow.OS:
-        return t_ow, t_oh
-    return np.full_like(t_oh, op.kernel), t_oh  # RS
+        return t_ow, t_oh, t_ic * t_oc * k2
+    return op.kernel, t_oh, t_ic * t_oc * t_ow * op.kernel  # RS
 
 
 def _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts):
-    n_tiles = counts["B"] * counts["I"] * counts["O"] * counts["H"] * counts["W"]
-    tile_macs = t_ic * t_oc * t_ow * t_oh * (op.kernel**2)
-    d1, d2 = _spatial_dims(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    """Compute cycles and padded MACs (N_tiles * tile_macs)."""
+    n_tiles = counts["I"] * counts["O"] * counts["H"] * counts["W"]
+    d1, d2, cell_macs = _spatial_dims(op, cfg, t_oc, t_ic, t_ow, t_oh)
     bitspeed = (8 // op.act_bits) * (8 // op.wgt_bits)
     passes = _ceil_div(d1, cfg.pe_x) * _ceil_div(d2, cfg.pe_y)
-    per_tile = _ceil_div(passes * (tile_macs // (d1 * d2)), bitspeed)
-    return per_tile * n_tiles, n_tiles, tile_macs
+    per_tile = _ceil_div(passes * cell_macs, bitspeed)
+    padded_macs = ((counts["I"] * t_ic) * (counts["O"] * t_oc) * (counts["H"] * t_oh)
+                   * (counts["W"] * t_ow) * op.kernel**2)
+    return per_tile * n_tiles, padded_macs
 
 
 def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
@@ -228,7 +254,7 @@ def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
     return act, wgt, out
 
 
-def _fetch_counts(cfg: AcceleratorConfig, counts: dict[str, np.ndarray]):
+def _fetch_counts(cfg: AcceleratorConfig, counts: dict):
     """Fetch events per operand under the single-buffer re-fetch rule.
 
     For a non-stationary operand the count is the product of loop extents from
@@ -238,23 +264,22 @@ def _fetch_counts(cfg: AcceleratorConfig, counts: dict[str, np.ndarray]):
     once per distinct tile.
     """
     stationary = STATIONARY_OPERAND[cfg.dataflow]
-    template = counts["B"]
+    loops = cfg.loop_order.replace("B", "")
     fetches = {}
     unique = {}
     for operand, deps in OPERAND_DEPS.items():
-        uniq = np.ones_like(template)
+        uniq = _ONE
         for dim in deps:
             uniq = uniq * counts[dim]
         unique[operand] = uniq
         if operand == stationary:
             fetches[operand] = uniq
             continue
-        running = np.ones_like(template)
-        events = np.ones_like(template)
-        for dim in cfg.loop_order:
+        running = events = _ONE
+        for dim in loops:
             running = running * counts[dim]
             if dim in deps:
-                events = np.where(counts[dim] > 1, running, events)
+                events = _select(counts[dim] > 1, running, events)
         fetches[operand] = events
     return fetches, unique
 
@@ -284,17 +309,18 @@ def evaluate_tilings(
     t_oh,
     constants: CostConstants | None = None,
 ) -> dict[str, np.ndarray]:
-    """Vectorized cost evaluation over arrays of tile sizes.
+    """Cost evaluation over int64 scalars, flat arrays or an open grid of
+    tile sizes; each output has the broadcast shape of the inputs it
+    depends on.
 
-    Feasibility is not checked here; callers filter candidates first.  The
-    scalar views (:func:`estimate_cost`, :func:`compute_cycles`,
-    :func:`dram_traffic`) route through this function with length-1 arrays,
-    which keeps batched and sequential evaluation bit-identical.
+    Feasibility is not checked here: `fits_caches_mask` gives it for the same
+    inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
+    or refuse them (the scalar views).
     """
     constants = constants or CostConstants()
     t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
     counts = _tile_counts(op, t_oc, t_ic, t_ow, t_oh)
-    compute, n_tiles, tile_macs = _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts)
+    compute, padded = _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts)
     act_b, wgt_b, out_b, total_b, fetches, unique = _traffic_arrays(
         op, cfg, t_oc, t_ic, t_ow, t_oh, counts
     )
@@ -303,7 +329,7 @@ def evaluate_tilings(
     cycles = np.maximum(compute, mem_cycles)
     latency_ms = cycles.astype(np.float64) / (constants.f_clk_mhz * 1000.0)
 
-    padded_macs = (n_tiles * tile_macs).astype(np.float64)
+    padded_macs = padded.astype(np.float64)
     fp = operator_footprints(op)
     mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
     sram_bytes = (
@@ -330,9 +356,10 @@ def evaluate_tilings(
     }
 
 
-def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh) -> np.ndarray:
-    """Cache-fit test per candidate.  The largest tile actually fetched is the
-    one clipped to the tensor extents, so the check clips; traffic does not."""
+def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
+    """Cache-fit test per tiling, over the same input shapes as
+    `evaluate_tilings`.  The largest tile actually fetched is the one clipped
+    to the tensor extents, so the check clips; traffic does not."""
     t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
     c_oc = np.minimum(t_oc, op.out_channels)
     c_ic = np.minimum(t_ic, op.in_channels)
@@ -346,19 +373,19 @@ def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic,
     )
 
 
-def _tile_columns(tile: TilingPlan) -> list[np.ndarray]:
-    """One tiling as length-1 arrays, the K=1 input of the batched functions."""
-    return [np.array([v], dtype=np.int64) for v in tile.as_tuple()]
+def _tile_scalars(tile: TilingPlan) -> list[np.int64]:
+    """One tiling as int64 scalars, the K=1 input of the batched functions."""
+    return [np.int64(v) for v in tile.as_tuple()]
 
 
 def tile_fits_caches(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> bool:
-    return bool(fits_caches_mask(op, cfg, *_tile_columns(tile))[0])
+    return bool(fits_caches_mask(op, cfg, *_tile_scalars(tile)))
 
 
-def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.ndarray]:
+def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.generic]:
     """`evaluate_tilings` at one tiling, which must fit the caches."""
-    t = _tile_columns(tile)
-    if not fits_caches_mask(op, cfg, *t)[0]:
+    t = _tile_scalars(tile)
+    if not fits_caches_mask(op, cfg, *t):
         raise NoFeasibleTiling(
             f"tiling {tile.as_tuple()} does not fit caches "
             f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
@@ -368,21 +395,21 @@ def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.nda
 
 def compute_cycles(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> int:
     """Compute-side cycle count for one tiling (no DRAM term)."""
-    return int(_evaluate_one(op, cfg, tile)["compute_cycles"][0])
+    return int(_evaluate_one(op, cfg, tile)["compute_cycles"])
 
 
 def dram_traffic(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> TrafficBreakdown:
     """DRAM bytes per operand under the re-fetch rule, plus fetch counts."""
     out = _evaluate_one(op, cfg, tile)
     return TrafficBreakdown(
-        act_bytes=float(out["act_bytes"][0]),
-        wgt_bytes=float(out["wgt_bytes"][0]),
-        out_bytes=float(out["out_bytes"][0]),
-        total_bytes=float(out["dram_bytes"][0]),
-        act_fetches=int(out["act_fetches"][0]),
-        wgt_fetches=int(out["wgt_fetches"][0]),
-        out_fetches=int(out["out_fetches"][0]),
-        out_unique_tiles=int(out["out_unique_tiles"][0]),
+        act_bytes=float(out["act_bytes"]),
+        wgt_bytes=float(out["wgt_bytes"]),
+        out_bytes=float(out["out_bytes"]),
+        total_bytes=float(out["dram_bytes"]),
+        act_fetches=int(out["act_fetches"]),
+        wgt_fetches=int(out["wgt_fetches"]),
+        out_fetches=int(out["out_fetches"]),
+        out_unique_tiles=int(out["out_unique_tiles"]),
     )
 
 
@@ -396,10 +423,10 @@ def estimate_cost(
     constants = constants or CostConstants()
     out = _evaluate_one(op, cfg, tile, constants)
     return CostBreakdown(
-        energy_mj=float(out["energy_mj"][0]),
-        latency_ms=float(out["latency_ms"][0]),
-        cycles=int(out["cycles"][0]),
-        dram_bytes=float(out["dram_bytes"][0]),
+        energy_mj=float(out["energy_mj"]),
+        latency_ms=float(out["latency_ms"]),
+        cycles=int(out["cycles"]),
+        dram_bytes=float(out["dram_bytes"]),
         area_mm2=area(cfg, constants.area),
     )
 

@@ -1,16 +1,21 @@
 """Tiling enumeration and per-operator mapping search.
 
-Every feasible tiling of an operator is scored in a single vectorized pass of
-the cost estimator and the argmin is returned (`batch_search`).  The
-`oracle_search` reference walks the same candidates strictly sequentially and
-exists so the batched path can be checked for exact equivalence.  Results
-aggregate from operators to subnets in `map_subnet`.
+An operator's candidate tilings are the open grid of its per-dimension tile
+sizes, (t_oc, t_ic, t_oh, t_ow) in lexicographic order.  `batch_search`
+passes that grid to the cost estimator whole: the cache-fit mask and the
+costs are computed on the grid's axes, infeasible candidates score +inf, and
+the argmin over the raveled grid is the earliest cheapest feasible tiling.
+The `oracle_search` reference walks the same candidates, raveled from the
+same grid, strictly sequentially and exists so the batched path can be
+checked for exact equivalence.  Results aggregate from operators to subnets
+in `map_subnet`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,21 +64,23 @@ def tile_size_choices(dim: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+@lru_cache(maxsize=256)
+def _candidate_grid(op: OperatorDescriptor) -> tuple[np.ndarray, ...]:
+    """The open grid of candidate tile sizes (t_oc, t_ic, t_oh, t_ow), one
+    read-only int64 axis each; the candidates are its lexicographic order."""
+    dims = (op.out_channels, op.in_channels, op.out_rows, op.out_rows)
+    axes = (np.asarray(tile_size_choices(d), dtype=np.int64) for d in dims)
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
+    for g in grid:
+        g.flags.writeable = False
+    return tuple(grid)
+
+
 def _candidate_arrays(op: OperatorDescriptor):
-    """All raw tile-size candidates, lexicographic ascending on (t_oc, t_ic, t_oh, t_ow)."""
-    oc = tile_size_choices(op.out_channels)
-    ic = tile_size_choices(op.in_channels)
-    oh = tile_size_choices(op.out_rows)
-    ow = tile_size_choices(op.out_rows)
-    grids = np.meshgrid(
-        np.asarray(oc, dtype=np.int64),
-        np.asarray(ic, dtype=np.int64),
-        np.asarray(oh, dtype=np.int64),
-        np.asarray(ow, dtype=np.int64),
-        indexing="ij",
-    )
-    t_oc, t_ic, t_oh, t_ow = (g.ravel() for g in grids)
-    return t_oc, t_ic, t_ow, t_oh, len(oc) * len(ic) * len(oh) * len(ow)
+    """All raw tile-size candidates, the open grid raveled, lexicographic
+    ascending on (t_oc, t_ic, t_oh, t_ow)."""
+    t_oc, t_ic, t_oh, t_ow = (g.ravel() for g in np.broadcast_arrays(*_candidate_grid(op)))
+    return t_oc, t_ic, t_ow, t_oh, t_oc.size
 
 
 def enumerate_tilings(op: OperatorDescriptor, cfg: AcceleratorConfig) -> list[TilingPlan]:
@@ -99,31 +106,32 @@ def batch_search(
     constants: CostConstants | None = None,
     weights: CostWeights | None = None,
 ) -> TilingSearchResult:
-    """Cost-optimal tiling by one batched pass over every feasible candidate.
+    """Cost-optimal tiling by one batched pass over the operator's open grid
+    of candidates; infeasible candidates are masked to +inf.
 
     Ties break toward the earliest candidate in enumeration order.
     """
     t0 = time.perf_counter()
     constants = constants or CostConstants()
     w = _tiling_weights(weights)
-    t_oc, t_ic, t_ow, t_oh, n_candidates = _candidate_arrays(op)
+    t_oc, t_ic, t_oh, t_ow = grid = _candidate_grid(op)
     mask = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
-    n_feasible = int(mask.sum())
+    n_feasible = int(np.count_nonzero(mask))
     if n_feasible == 0:
         raise NoFeasibleTiling(
             f"no tiling of operator {op} fits caches "
             f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
         )
-    t_oc, t_ic, t_ow, t_oh = t_oc[mask], t_ic[mask], t_ow[mask], t_oh[mask]
     out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
     costs = _weighted(out["energy_mj"], out["latency_ms"], area(cfg, constants.area), w)
-    idx = int(np.argmin(costs))
-    best = TilingPlan(int(t_oc[idx]), int(t_ic[idx]), int(t_ow[idx]), int(t_oh[idx]))
+    idx = np.unravel_index(int(np.argmin(np.where(mask, costs, np.inf))), mask.shape)
+    b_oc, b_ic, b_oh, b_ow = (int(g.flat[i]) for g, i in zip(grid, idx))
+    best = TilingPlan(b_oc, b_ic, b_ow, b_oh)
     breakdown = estimate_cost(op, cfg, best, constants)
     return TilingSearchResult(
         best=best,
         cost=breakdown,
-        n_candidates=n_candidates,
+        n_candidates=mask.size,
         n_feasible=n_feasible,
         wall_time_s=time.perf_counter() - t0,
     )

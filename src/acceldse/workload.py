@@ -6,6 +6,24 @@ square; the input spatial extent is derived from the output extent, so padding
 is never specified independently:
 
     in_rows = (out_rows - 1) * stride + kernel
+
+Operator range.  The cost model carries integers in int64 and DRAM byte
+counts in float64, exact to 1/8 byte.  Both stay exact for every tiling
+(tile sizes up to T = 2**TILE_POW2_MAX) of an operator whose worst cases,
+taken over all tilings, fit:
+
+    padded MACs   pad(IC) * pad(OC) * pad(R)**2 * K**2                < 2**63
+    DRAM bits     8 * pad(IC) * OC * halo**2                          (act)
+                + 8 * pad(IC) * pad(OC) * R**2 * K**2                 (wgt)
+                + 64 * IC * pad(OC) * pad(R)**2                       (out)  < 2**53
+
+with R = out_rows, K = kernel, pad(d) = d + T - 1 the largest padded extent
+of a dimension, and halo = pad(R) * stride + R * (K - 1) the largest input
+extent the activation tiles of one row or column cover.  The padded MACs
+bound every int64 product (tile counts times tile MACs, passes times cell
+MACs, fetch-count products); bits below 2**53 keep every byte count and
+partial sum of them an exact float64.  `OperatorDescriptor` rejects any
+other shape.
 """
 
 from __future__ import annotations
@@ -18,6 +36,7 @@ from typing import Iterator, Sequence
 from .documents import construct, parse_json, read_int, read_list, read_object
 
 ALLOWED_BITS = (2, 4, 8)
+TILE_POW2_MAX = 10  # tile sizes are powers of two up to 2**TILE_POW2_MAX
 
 OPERATOR_FIELDS = (
     "kernel",
@@ -51,6 +70,11 @@ class OperatorDescriptor:
             value = getattr(self, name)
             if type(value) is not int or value not in ALLOWED_BITS:
                 raise ValueError(f"{name} must be one of {ALLOWED_BITS}, got {value!r}")
+        if not _in_range(self):
+            raise ValueError(
+                f"operator shape {encode_operator(self)[:5]} is outside the cost model's "
+                "exact range (see the operator range in the workload module)"
+            )
 
     @property
     def in_rows(self) -> int:
@@ -97,6 +121,21 @@ class OperatorFootprints:
     act_in_bytes: float
     wgt_bytes: float
     out_elems: int
+
+
+_PAD = 2**TILE_POW2_MAX - 1  # a dimension's padded extent is at most d + _PAD
+
+
+def _in_range(op: OperatorDescriptor) -> bool:
+    """Whether `op` lies in the operator range of the module docstring."""
+    rows, k, ic, oc = op.out_rows, op.kernel, op.in_channels, op.out_channels
+    p_ic, p_oc, p_rows = ic + _PAD, oc + _PAD, rows + _PAD
+    halo = p_rows * op.stride + rows * (k - 1)
+    rows_k = rows * k
+    padded_macs = p_ic * p_oc * (p_rows * k) ** 2
+    dram_bits = (8 * p_ic * (oc * halo * halo + p_oc * rows_k * rows_k)
+                 + 64 * ic * p_oc * p_rows * p_rows)
+    return padded_macs < 2**63 and dram_bits < 2**53
 
 
 # encode_operator(op): the 7-field encoding vector, fixed field order.

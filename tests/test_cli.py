@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +293,57 @@ def test_cache_put_appends_after_truncated_record(tmp_path, monkeypatch):
     assert lines[0] == truncated
     assert [json.loads(line)["key"] for line in lines[1:]] == ["a", "b", "c"]
     assert CostCache(str(path)).get("c") == cost
+
+
+WRITER = """
+import sys, time
+from pathlib import Path
+from acceldse import CostBreakdown
+from acceldse.cli import CostCache
+path, tag, go = sys.argv[1:]
+cache = CostCache(path)
+while not Path(go).exists():
+    time.sleep(0.001)
+for i in range(200):
+    cache.put(f"{tag}-{i}", CostBreakdown(i + 0.5, 0.25, i, 64.0, 0.5))
+cache.close()
+"""
+
+
+def test_cache_two_concurrent_writers(tmp_path, capsys):
+    """Two processes appending to one memo at once leave every record whole."""
+    path, go = tmp_path / "memo.jsonl", tmp_path / "go"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    writers = [subprocess.Popen([sys.executable, "-c", WRITER, str(path), tag, str(go)], env=env)
+               for tag in ("a", "b")]
+    go.touch()
+    assert [w.wait(timeout=60) for w in writers] == [0, 0]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 400
+    memo = CostCache(str(path))
+    assert "corrupt" not in capsys.readouterr().err
+    assert memo.get("a-199") == CostBreakdown(199.5, 0.25, 199, 64.0, 0.5)
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(
+        f"{tag}-{i}" for tag in "ab" for i in range(200))
+
+
+@pytest.mark.parametrize("memo", ["missing-dir/memo.jsonl", "."])
+def test_cache_unusable_path_exit_2(docs, tmp_path, capsys, memo):
+    """A memo path that cannot be read or written ends in exit 2, not a traceback."""
+    assert main(["cost", "--workload", docs["workload.json"], "--accel", docs["accel.json"],
+                 "--tiling", docs["best.json"], "--cache", str(tmp_path / memo)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value", [("out_rows", 2147483648), ("stride", 2**62)])
+def test_operator_outside_range_exit_2(tmp_path, capsys, field, value):
+    """Shapes whose int64 arithmetic would wrap are refused, not costed."""
+    text = json.dumps(replaced(REF_WORKLOAD, ("operators", 0, field), value))
+    assert run_with_document(tmp_path, "workload", text) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "exact range" in err[0], err
 
 
 def test_cache_key_includes_cost_model_version(docs, tmp_path, monkeypatch):

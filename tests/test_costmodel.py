@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,11 +17,14 @@ from acceldse import (
     compute_cycles,
     dram_traffic,
     edap,
+    encode_operator,
     estimate_cost,
     hw_cost,
     operator_footprints,
     tile_fits_caches,
 )
+from acceldse.costmodel import TILE_SIZES, evaluate_tilings
+from acceldse.tiling import _candidate_grid
 
 CFG64 = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
 
@@ -180,3 +187,80 @@ def test_cost_constants_validation():
         CostConstants(f_clk_mhz=0.0)
     with pytest.raises(ValueError):
         CostConstants(e_dram_pj_per_byte=-1.0)
+
+
+def exact_cycles_and_dram_bits(op, cfg, tile):
+    """`cycles` and `8 * dram_bytes` of the closed form at default constants,
+    restated in Python integers."""
+    t = {"I": tile.t_ic, "O": tile.t_oc, "H": tile.t_oh, "W": tile.t_ow}
+    extent = {"I": op.in_channels, "O": op.out_channels, "H": op.out_rows, "W": op.out_rows}
+    counts = {d: -(-extent[d] // t[d]) for d in t}
+    d1, d2 = {Dataflow.WS: (tile.t_ic, tile.t_oc), Dataflow.OS: (tile.t_ow, tile.t_oh),
+              Dataflow.RS: (op.kernel, tile.t_oh)}[cfg.dataflow]
+    tile_macs = math.prod(t.values()) * op.kernel**2
+    passes = -(-d1 // cfg.pe_x) * -(-d2 // cfg.pe_y)
+    bitspeed = (8 // op.act_bits) * (8 // op.wgt_bits)
+    compute = -(-(passes * (tile_macs // (d1 * d2))) // bitspeed) * math.prod(counts.values())
+
+    stationary = {Dataflow.WS: "wgt", Dataflow.OS: "out", Dataflow.RS: "act"}[cfg.dataflow]
+    loops = cfg.loop_order.replace("B", "")
+    fetches, unique = {}, {}
+    for operand, deps in (("act", "IHW"), ("wgt", "IO"), ("out", "OHW")):
+        unique[operand] = math.prod(counts[d] for d in deps)
+        anchors = [i for i, d in enumerate(loops) if d in deps and counts[d] > 1]
+        fetches[operand] = (unique[operand] if operand == stationary else
+                            math.prod(counts[d] for d in loops[:anchors[-1] + 1]) if anchors else 1)
+    s, k = op.stride, op.kernel
+    act_bits = tile.t_ic * (tile.t_ow * s + k - 1) * (tile.t_oh * s + k - 1) * op.act_bits
+    wgt_bits = tile.t_ic * tile.t_oc * k**2 * op.wgt_bits
+    out_bits = 32 * tile.t_oc * tile.t_ow * tile.t_oh
+    revisits = fetches["out"] // unique["out"]
+    dram_bits = (fetches["act"] * act_bits + fetches["wgt"] * wgt_bits
+                 + unique["out"] * out_bits * (2 * revisits - 1))
+    bw_bits = 8 * 16  # default dram_bw_bytes_per_cycle, in bits
+    return max(compute, -(-dram_bits // bw_bits)), dram_bits
+
+
+def largest_accepted(make, lo=1, hi=2**64):
+    """The largest n for which `make(n)` builds an operator."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            make(mid)
+            lo = mid
+        except ValueError:
+            hi = mid - 1
+    return make(lo)
+
+
+# Operators at the edge of the accepted range, each grown along one field.
+RANGE_CORNERS = [
+    largest_accepted(lambda n: OperatorDescriptor(3, 1, 56, n, n, 8, 8)),
+    largest_accepted(lambda n: OperatorDescriptor(1, 1, 1, n, n, 8, 8)),
+    largest_accepted(lambda n: OperatorDescriptor(7, 4, n, 64, 64, 8, 8)),
+    largest_accepted(lambda n: OperatorDescriptor(3, n, 7, 512, 512, 8, 8)),
+    largest_accepted(lambda n: OperatorDescriptor(n, 1, 1, 1, 1, 8, 8)),
+    largest_accepted(lambda n: OperatorDescriptor(5, 2, 28, 256, n, 2, 2)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", RANGE_CORNERS, ids=lambda op: "-".join(map(str, encode_operator(op)[:5])))
+def test_range_corner_is_exact(op):
+    """At the largest accepted shapes the int64 and float64 arithmetic equals
+    the same arithmetic in Python integers, for the extreme tilings, and the
+    whole candidate grid evaluates without a warning."""
+    with pytest.raises(ValueError, match="exact range"):
+        OperatorDescriptor(*(v + 1 if i < 5 and v > 1 else v
+                             for i, v in enumerate(encode_operator(op))))
+    for dataflow in Dataflow:
+        for order in ("BIOHW", "BWHOI"):
+            cfg = AcceleratorConfig(3, 64, 64, 64, 64, dataflow, order)
+            for sizes in itertools.product((1, TILE_SIZES[-1]), repeat=4):
+                tile = TilingPlan(*sizes)
+                out = evaluate_tilings(op, cfg, *(np.int64(v) for v in sizes))
+                cycles, dram_bits = exact_cycles_and_dram_bits(op, cfg, tile)
+                assert int(out["cycles"]) == cycles
+                assert Fraction(float(out["dram_bytes"])) * 8 == dram_bits
+            grid = _candidate_grid(op)
+            evaluate_tilings(op, cfg, grid[0], grid[1], grid[3], grid[2])

@@ -1,3 +1,5 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,12 +7,15 @@ from hypothesis import strategies as st
 
 from acceldse import (
     AcceleratorConfig,
+    CostBreakdown,
+    CostConstants,
     Dataflow,
     NoFeasibleTiling,
     OperatorDescriptor,
     SubnetDescriptor,
     TilingPlan,
     all_loop_orders,
+    area,
     batch_search,
     compute_cycles,
     dram_traffic,
@@ -22,7 +27,8 @@ from acceldse import (
     tile_size_choices,
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
-from acceldse.costmodel import CostWeights, evaluate_tilings
+from acceldse.costmodel import CostWeights, evaluate_tilings, fits_caches_mask
+from acceldse.tiling import _candidate_arrays, _candidate_grid
 
 CFG = AcceleratorConfig(16, 16, 128, 128, 128, Dataflow.WS, "BIHWO")
 
@@ -193,3 +199,69 @@ def test_map_subnet_names_offending_operator():
     with pytest.raises(NoFeasibleTiling, match="operator 1") as excinfo:
         map_subnet(SubnetDescriptor((good, bad)), cfg)
     assert excinfo.value.op_index == 1
+
+
+# Wider than `operators`: grid and flat evaluation are cheap at any size.
+wide_operators = st.builds(
+    OperatorDescriptor,
+    kernel=st.integers(1, 11),
+    stride=st.integers(1, 4),
+    out_rows=st.integers(1, 300),
+    in_channels=st.integers(1, 2000),
+    out_channels=st.integers(1, 2000),
+    act_bits=st.sampled_from([2, 4, 8]),
+    wgt_bits=st.sampled_from([2, 4, 8]),
+)
+# Few enough feasible candidates to cost each one through the scalar views.
+tiny_operators = st.builds(
+    OperatorDescriptor,
+    kernel=st.sampled_from([1, 3, 5]),
+    stride=st.sampled_from([1, 2]),
+    out_rows=st.integers(1, 8),
+    in_channels=st.integers(1, 16),
+    out_channels=st.integers(1, 16),
+    act_bits=st.sampled_from([2, 4, 8]),
+    wgt_bits=st.sampled_from([2, 4, 8]),
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(wide_operators, configs)
+def test_grid_evaluation_matches_flat(op, cfg):
+    """Every output on the open grid, broadcast and raveled, equals the
+    output on the flat candidate arrays bit for bit."""
+    t_oc, t_ic, t_oh, t_ow = grid = _candidate_grid(op)
+    flat = _candidate_arrays(op)[:4]
+    shape = np.broadcast_shapes(*(g.shape for g in grid))
+    on_grid = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    on_grid["fits"] = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    on_flat = evaluate_tilings(op, cfg, *flat)
+    on_flat["fits"] = fits_caches_mask(op, cfg, *flat)
+    assert len(on_flat) == 14 and on_grid.keys() == on_flat.keys()
+    for name, values in on_grid.items():
+        raveled = np.broadcast_to(values, shape).ravel()
+        assert raveled.dtype == on_flat[name].dtype, name
+        assert raveled.tobytes() == on_flat[name].tobytes(), name
+
+
+@settings(PROPERTY, max_examples=25)
+@given(tiny_operators, configs)
+def test_scalar_views_match_flat_rows(op, cfg):
+    """`estimate_cost`, `compute_cycles` and `dram_traffic` of every feasible
+    candidate equal its row of one flat pass, with the same field types."""
+    plans = enumerate_tilings(op, cfg)
+    rows = evaluate_tilings(op, cfg, *np.array([p.as_tuple() for p in plans]).T)
+    cost_area = area(cfg, CostConstants().area)
+    for i, plan in enumerate(plans):
+        cost = estimate_cost(op, cfg, plan)
+        expected = CostBreakdown(float(rows["energy_mj"][i]), float(rows["latency_ms"][i]),
+                                 int(rows["cycles"][i]), float(rows["dram_bytes"][i]), cost_area)
+        assert [(type(v), repr(v)) for v in astuple(cost)] == [
+            (type(v), repr(v)) for v in astuple(expected)]
+        assert type(compute_cycles(op, cfg, plan)) is int
+        assert compute_cycles(op, cfg, plan) == rows["compute_cycles"][i]
+        traffic = dram_traffic(op, cfg, plan)
+        for f in fields(traffic):
+            value = getattr(traffic, f.name)
+            row = rows["dram_bytes" if f.name == "total_bytes" else f.name][i]
+            assert type(value) is type(row.item()) and repr(value) == repr(row.item()), f.name
