@@ -116,7 +116,18 @@ TILING_FIELDS = tuple(f.name for f in fields(TilingPlan))
 @dataclass(frozen=True)
 class CostConstants:
     """Estimator calibration constants.  Defaults are fixed here so that
-    calibration never silently changes results."""
+    calibration never silently changes results.
+
+    Constants range.  `dram_bw_bytes_per_cycle` lies in [2**-13, 2**64] and
+    every other constant in [2**-64, 2**64]; the constructor rejects any
+    other value.  For an operator inside the operator range of
+    `acceldse.workload` (padded MACs < 2**63, so SRAM bytes < 2**67, and
+    DRAM bytes < 2**50) this keeps `ceil(dram_bytes / bw)` below 2**63, so
+    it fits int64, and keeps every per-operator energy in [2**-68, 2**132]
+    pJ and latency in [2**-74, 2**118] ms: finite normal floats, far from
+    overflow and underflow in the sums over a subnet, the weighted cost and
+    the energy-delay-area product.
+    """
 
     f_clk_mhz: float = 200.0
     dram_bw_bytes_per_cycle: float = 16.0
@@ -128,8 +139,11 @@ class CostConstants:
     def __post_init__(self):
         for name in ("f_clk_mhz", "dram_bw_bytes_per_cycle", "e_mac_pj",
                      "e_sram_pj_per_byte", "e_dram_pj_per_byte"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            low = -13 if name == "dram_bw_bytes_per_cycle" else -64
+            value = getattr(self, name)
+            if not 2.0**low <= value <= 2.0**64:
+                raise ValueError(f"{name} must lie in [2**{low}, 2**64] (the cost "
+                                 f"constants' range), got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -267,46 +267,156 @@ class PolicyTrainResult:
     evaluations: int
 
 
+_PROB_ATOL = math.sqrt(np.finfo(np.float64).eps)  # `Generator.choice`'s tolerance
+# The smallest nonzero max|dlogits| the no-op test uses: far above the
+# subnormals, so that the absolute error of a backward product that underflows
+# stays inside the test's factor of 2.
+_NORMAL_D = 2.0**-1000
+
+
+def head_cdfs(probs) -> list[np.ndarray]:
+    """Per-head cumulative distributions, validated and built as
+    `Generator.choice(len(p), p=p)` validates and builds them: NaN, negative
+    entries or a sum off 1 by more than sqrt(eps) raise `ValueError`."""
+    cdfs = []
+    for p in probs:
+        cdf = p.cumsum()
+        if np.isnan(cdf[-1]):
+            raise ValueError("Probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("Probabilities are not non-negative")
+        if abs(cdf[-1] - 1.0) > _PROB_ATOL:
+            raise ValueError("Probabilities do not sum to 1")
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
+    return cdfs
+
+
+def draw_choices(rng: np.random.Generator, cdfs, n_samples: int) -> np.ndarray:
+    """`n_samples` rows of one index per head, each the index
+    `rng.choice(len(p), p=p)` would pick, with `rng` left in the same state
+    as that many calls in sample-major order: one uniform per pick, drawn in
+    that order."""
+    uniforms = rng.random((n_samples, len(cdfs)))
+    picks = np.empty(uniforms.shape, dtype=np.intp)
+    for k, cdf in enumerate(cdfs):
+        picks[:, k] = cdf.searchsorted(uniforms[:, k], side="right")
+    return picks
+
+
+def update_bound(net: GeneratorNet, cache) -> tuple[float, float]:
+    """`(C, floor)` for the weights of `net` and the activations in `cache`.
+
+    `C` bounds every gradient entry `backward(cache, dlogits)` can return per
+    unit of `max|dlogits|`: absolute values propagated back through the net,
+    each matrix by its largest column sum.  `floor` is the smallest
+    `spacing(|w|) / 4` over all weights, half the smaller gap next to `w`,
+    so `w - delta == w` whenever `|delta| < floor` (0, so never a skip, when
+    a weight is +-0).  A NaN or inf among the weights or activations makes
+    `C` NaN or inf, or `floor` NaN, and either fails `update_is_no_op`.
+    """
+    x, _, block_cache, a_final = cache
+
+    def amax(v):
+        return np.abs(v).max()
+
+    def colsum(m):
+        return np.abs(m).sum(axis=0).max()
+
+    da = sum(colsum(head["p"]) for head in net.heads)
+    terms = [amax(a_final), 1.0, da]
+    for blk, (a_in, _, hh) in zip(reversed(net.blocks), reversed(block_cache)):
+        dzh = colsum(blk["v"]) * da
+        terms += [da * amax(hh), dzh * amax(a_in), dzh]
+        da = da + colsum(blk["u"]) * dzh
+    terms += [da * amax(x), da]
+    weights = [net.w_in, net.b_in, *(blk[key] for blk in net.blocks for key in "ucvd"),
+               *(head[key] for head in net.heads for key in "pq")]
+    floor = np.min([np.spacing(np.abs(w)).min() for w in weights]) / 4
+    return float(np.max(terms)), float(floor)
+
+
+def update_is_no_op(lr: float, d: float, bound: tuple[float, float]) -> bool:
+    """Whether `sgd_step(backward(cache, dlogits), lr)` provably leaves every
+    weight bit-identical, for `d = max|dlogits|` and `bound =
+    update_bound(net, cache)`: `2 |lr| d C < floor`, with a nonzero `d`
+    raised to at least `_NORMAL_D`.  The factor 2 covers the rounding of
+    the backward products and sums, of `lr * g` and of the bound itself.
+    NaN or inf in `lr`, `d` or the bound makes the test false."""
+    c, floor = bound
+    d = abs(d)
+    if 0 < d < _NORMAL_D:
+        d = _NORMAL_D
+    return bool(2.0 * abs(lr) * d * c < floor)
+
+
+def _score_gradient(neg_probs, offsets, picks, advantages, scale) -> np.ndarray:
+    """The heads' likelihood-ratio gradient, concatenated: for each sample in
+    order, its advantage times (its one-hot picks - p), summed from zero, then
+    divided by `scale`.  `neg_probs` is -p of every head, concatenated, and
+    `offsets` each head's first index in it."""
+    rows = np.repeat(neg_probs[None, :], len(picks), axis=0)
+    rows[np.arange(len(picks))[:, None], offsets + picks] += 1.0
+    rows *= advantages[:, None]
+    acc = np.zeros_like(neg_probs)
+    for row in rows:
+        acc += row
+    return acc / scale
+
+
 def train_policy(net: GeneratorNet, feats: np.ndarray, score_fn, budget: SearchBudget) -> PolicyTrainResult:
     """Score-function gradient training of the classifier heads.
 
     Each step samples configs from the tempered per-head softmax, scores them,
     and descends the likelihood-ratio gradient of the expected cost with an
     EMA baseline (initialized at 0.0; decay 1.0 therefore freezes it there).
+
+    Work whose result is already known is skipped, with bit-identical
+    results: an update that `update_is_no_op` proves leaves every weight
+    unchanged does not run; while no update has run, the last forward pass
+    (and, at an unchanged temperature, its probabilities and their
+    cumulative distributions) is reused.
     """
     rng = np.random.default_rng(budget.seed)
+    lr = budget.learning_rate
     tau = budget.gumbel_tau
     baseline = 0.0
     best_choices = None
     best_cost = None
     evaluations = 0
     trace = []
+    forward = None  # (logits, cache) of the current weights
+    bound = None  # update_bound of the current weights, once needed
+    cdfs_tau = None  # the temperature `cdfs` and `neg_probs` were built at
+    offsets = np.concatenate([[0], np.cumsum(net.head_sizes[:-1])])  # of each head's logits
     for step in range(budget.steps):
         if evaluations >= budget.max_evaluations:
             break
-        logits, cache = net.forward(feats)
-        probs = [gumbel_softmax(l, tau) for l in logits]
+        if forward is None:
+            forward = net.forward(feats)
+            bound = cdfs_tau = None
+        logits, cache = forward
+        if cdfs_tau is None or tau != cdfs_tau:
+            probs = [gumbel_softmax(l, tau) for l in logits]
+            cdfs, neg_probs, cdfs_tau = head_cdfs(probs), -np.concatenate(probs), tau
         n_samples = min(budget.samples_per_step, budget.max_evaluations - evaluations)
-        sampled = []
+        picks = draw_choices(rng, cdfs, n_samples)
         costs = np.empty(n_samples, dtype=np.float64)
-        for s in range(n_samples):
-            choices = tuple(int(rng.choice(len(p), p=p)) for p in probs)
+        for s, choices in enumerate(map(tuple, picks.tolist())):
             cost, feasible = score_fn(choices)
-            sampled.append(choices)
             costs[s] = cost
             if feasible and (best_cost is None or cost < best_cost):
                 best_cost, best_choices = cost, choices
         evaluations += n_samples
 
-        advantages = costs - baseline
-        dlogits = [np.zeros_like(l) for l in logits]
-        for s, choices in enumerate(sampled):
-            for k, p in enumerate(probs):
-                g = -p.copy()
-                g[choices[k]] += 1.0
-                dlogits[k] += advantages[s] * g
-        dlogits = [g / (n_samples * tau) for g in dlogits]
-        net.sgd_step(net.backward(cache, dlogits), budget.learning_rate)
+        dlogits = _score_gradient(neg_probs, offsets, picks, costs - baseline, n_samples * tau)
+        d = np.abs(dlogits).max()
+        # C >= 1 and floor <= spacing(max|b_in|) / 4, so a skip needs the first test
+        if bound is None and 2.0 * abs(lr) * d < np.spacing(np.abs(net.b_in).max()) / 4:
+            bound = update_bound(net, cache)
+        if bound is None or not update_is_no_op(lr, d, bound):
+            net.sgd_step(net.backward(cache, np.split(dlogits, offsets[1:])), lr)
+            forward = None
 
         mean_cost = float(costs.mean())
         baseline = budget.baseline_decay * baseline + (1.0 - budget.baseline_decay) * mean_cost
@@ -314,7 +424,7 @@ def train_policy(net: GeneratorNet, feats: np.ndarray, score_fn, budget: SearchB
         trace.append(TraceRow(step, mean_cost, best_for_trace, tau, baseline))
         tau = max(tau * budget.tau_decay, 1e-3)
 
-    logits, _ = net.forward(feats)
+    logits, _ = forward or net.forward(feats)
     final_choices = tuple(int(np.argmax(l)) for l in logits)
     return PolicyTrainResult(
         choices=final_choices,

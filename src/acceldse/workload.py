@@ -23,7 +23,8 @@ extent the activation tiles of one row or column cover.  The padded MACs
 bound every int64 product (tile counts times tile MACs, passes times cell
 MACs, fetch-count products); bits below 2**53 keep every byte count and
 partial sum of them an exact float64.  `OperatorDescriptor` rejects any
-other shape.
+other shape.  The cost constants have a range of their own, derived from
+this one, in `acceldse.costmodel.CostConstants`.
 """
 
 from __future__ import annotations

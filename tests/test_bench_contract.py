@@ -9,6 +9,7 @@ are.
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,3 +79,20 @@ def test_cost_memo_fires_every_boundary(tmp_path):
     assert reports[0] == reports[1]
     assert len(memo.read_text().splitlines()) == 20
 
+
+
+def test_co_generator_skips_no_op_updates(tmp_path):
+    """The benchmark's full co-generator command still fires every boundary,
+    while proven no-op updates, and the forward passes they would force, are
+    skipped: without the skip, each of the 1,000 steps runs both."""
+    state = write(tmp_path / "supernet.json", gen.supernet_state_doc(1))
+    space = write(tmp_path / "space24.json", gen.SPACE24_DOC)
+    recorder = spans.Recorder()
+    with spans.installed(recorder):
+        rc = cli.main(["search", "co", "--state", state, "--space", space, *workloads.CO_FLAGS,
+                       "--seed", "1", "--out", str(tmp_path / "co.json"), "--threads", "1"])
+    assert rc == 0
+    assert set(workloads.CoGenerator.boundaries) <= spans.fired([recorder.spans])
+    calls = Counter(span[2] for span in recorder.spans)
+    assert 0 < calls["hwsearch.net.backward"] < 200
+    assert 0 < calls["hwsearch.net.forward"] < 200

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search
 from acceldse.cli import CostCache, main
-from conftest import make_reduced_space_24, make_small_subnet
+from conftest import make_reduced_space_24, make_small_subnet, make_synthetic_subnet_22
 
 REF_WORKLOAD = {"operators": [{
     "kernel": 5, "stride": 1, "out_rows": 7, "in_channels": 552,
@@ -344,6 +344,26 @@ def test_operator_outside_range_exit_2(tmp_path, capsys, field, value):
     assert run_with_document(tmp_path, "workload", text) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "exact range" in err[0], err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value", [
+    ("dram_bw_bytes_per_cycle", 1e-300),  # wrapped mem_cycles in its int64 cast
+    ("e_dram_pj_per_byte", 1e308),  # an infinite energy in the report
+    ("f_clk_mhz", 1e-320),  # an infinite latency in the report
+])
+def test_constants_outside_range_exit_2(tmp_path, capsys, field, value):
+    """Constants outside the documented range are refused, not costed."""
+    workload = tmp_path / "subnet22.json"
+    workload.write_text(json.dumps(make_synthetic_subnet_22().to_dict()))
+    accel = tmp_path / "accel.json"
+    accel.write_text(json.dumps(REF_ACCEL))
+    constants = tmp_path / "constants.json"
+    constants.write_text(json.dumps({field: value}))
+    assert main(["cost", "--workload", str(workload), "--accel", str(accel),
+                 "--constants", str(constants), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
 
 
 def test_cache_key_includes_cost_model_version(docs, tmp_path, monkeypatch):
