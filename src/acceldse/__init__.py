@@ -26,6 +26,7 @@ from .costmodel import (
     estimate_cost,
     hw_cost,
     tile_fits_caches,
+    tile_size_choices,
 )
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
@@ -68,7 +69,6 @@ from .tiling import (
     enumerate_tilings,
     map_subnet,
     oracle_search,
-    tile_size_choices,
 )
 from .workload import (
     OperatorDescriptor,

@@ -136,7 +136,8 @@ class ParamSpace:
     """Candidate lists for each of the seven config fields.
 
     Restricting any list to a subset yields a reduced space for oracle
-    experiments; every candidate must satisfy the config invariants.
+    experiments; every candidate must satisfy the config invariants, and no
+    list may hold a candidate twice.
     """
 
     pe_x: tuple[int, ...] = PE_CHOICES
@@ -154,6 +155,11 @@ class ParamSpace:
         for f, values in zip(fields(self), self.candidates):
             if not values:
                 raise ValueError(f"{f.name} candidate list is empty")
+            if len(set(values)) < len(values):
+                # a repeated candidate would be scored twice by the exhaustive
+                # engine and drawn twice as often by the sampling engines
+                repeated = [getattr(v, "value", v) for i, v in enumerate(values) if v in values[:i]]
+                raise ValueError(f"{f.name} candidates repeat: {repeated}")
         bad = [v for v in self.pe_x + self.pe_y if v < PE_MIN or v > PE_MAX]
         if bad:
             raise ValueError(f"PE candidates outside [{PE_MIN}, {PE_MAX}]: {bad}")

@@ -16,14 +16,23 @@ Compute cycles
 DRAM traffic
     The five tile loops execute in the config's loop order with one buffer per
     operand.  An operand depends on a subset of the loop dimensions
-    (weights: I,O; activations: I,H,W; outputs: O,H,W).  A non-stationary
-    operand is re-fetched once per iteration of every loop from the outermost
-    down to the deepest loop it depends on; loops whose tile count is 1 never
-    force a re-fetch.  The dataflow's stationary operand (WS -> weights,
+    (weights: I,O; activations: I,H,W; outputs: O,H,W); its distinct tiles
+    number unique = the product of those loops' tile counts.  A
+    non-stationary operand is re-fetched once per iteration of every loop
+    from the outermost down to the deepest loop it depends on; loops whose
+    tile count is 1 never force a re-fetch.  In closed form,
+
+        fetches = unique * prod over the loops n it does not depend on of
+                  (count[n] if a loop it depends on, nested inside n, has
+                   more than one tile, else 1),
+
+    exact in int64.  The dataflow's stationary operand (WS -> weights,
     OS -> outputs, RS -> activations) is instead fetched exactly once per
-    distinct tile.  Per-fetch bytes use the nominal (padded) tile extents;
-    activation tiles include the convolution halo.  Output tiles are written
-    once and cost an extra read+write per revisit (partial-sum spill).
+    distinct tile: fetches = unique.  Per-fetch bytes use the nominal
+    (padded) tile extents; activation tiles include the convolution halo.
+    Output tiles are written once and cost an extra read+write per revisit
+    (partial-sum spill): out_bytes = unique * out_tile * (2 * revisits - 1)
+    with revisits = fetches / unique, the product above.
 
 Energy
     energy_pj = padded_macs * e_mac * (act_bits*wgt_bits)/64
@@ -41,15 +50,24 @@ Every function here takes its tile sizes in one of three shapes: numpy
 int64 scalars (one tiling; the K=1 views `estimate_cost`, `compute_cycles`,
 `dram_traffic`, `tile_fits_caches`), flat arrays (one tiling per element),
 or an open grid (`np.meshgrid(..., sparse=True)`: one axis per tile
-dimension, as `tiling.batch_search` passes them).  On a grid each term is
-computed on the axes it depends on, so tile counts, halos and per-operand
-tile bytes are computed on at most 11 values, and only the terms that
-combine all four dimensions have the grid's full size.  Feasibility is a
-separate mask (`fits_caches_mask`) over the same inputs; `evaluate_tilings`
-scores infeasible tilings too.  Each element sees the same integer and
-float operations in every shape, integers are carried in int64 and byte
-counts are exact multiples of 1/8 in float64 (for operators inside the
-range `workload.OperatorDescriptor` accepts), so the three shapes give
+dimension).  On a grid each term is computed on the axes it depends on, so
+tile counts, halos and per-operand tile bytes are computed on at most 11
+values, and only the terms that combine all four dimensions have the grid's
+full size.  An operator's own candidate grid, the one `tiling.batch_search`
+passes, is cached per operator shape (`_grid_table`) together with every
+term no config field changes: tile counts, distinct tiles per operand,
+padded MACs (as two factors), partial-sum bytes, and nominal and clipped
+tile bytes, all read-only and none of the grid's full size.
+Given that grid, `evaluate_tilings` and `fits_caches_mask` read those terms
+and compute only the ones a config changes: the three cache compares, the
+passes of the dataflow's two dimensions, fetch counts, bytes, memory
+cycles, energy and latency.  Scalars and flat arrays go through the same
+stage functions without the cache.  Feasibility is a separate mask
+(`fits_caches_mask`) over the same inputs; `evaluate_tilings` scores
+infeasible tilings too.  Each element sees the same float operations in
+every shape, integers are exact in int64 and byte counts are exact
+multiples of 1/8 in float64 (for operators inside the range
+`workload.OperatorDescriptor` accepts), so the three shapes give
 bit-identical results.
 
 `COST_MODEL_VERSION` names this model.  Any change to the model's outputs
@@ -60,6 +78,8 @@ cost the current model would not compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,6 +234,12 @@ def _as_i64(values):
     return values if type(values) is np.int64 else np.asarray(values, dtype=np.int64)
 
 
+def _cast(values, dtype):
+    """`values.astype(dtype)`, also for numpy scalars, whose `astype` is
+    several times slower than their constructor."""
+    return values.astype(dtype) if type(values) is np.ndarray else dtype(values)
+
+
 def _select(condition, a, b):
     """`np.where` that keeps scalar inputs scalar."""
     if isinstance(condition, np.ndarray):
@@ -221,7 +247,22 @@ def _select(condition, a, b):
     return a if condition else b
 
 
+def _minimum(a, b):
+    """`np.minimum` that keeps scalar inputs scalar."""
+    return np.minimum(a, b) if type(a) is np.ndarray else min(a, b)
+
+
 _ONE = np.int64(1)
+
+
+def tile_size_choices(dim: int) -> tuple[int, ...]:
+    """Powers of two from 1 up to the smallest power covering `dim`, capped at 2^10."""
+    sizes = []
+    for size in TILE_SIZES:
+        sizes.append(size)
+        if size >= dim:
+            break
+    return tuple(sizes)
 
 
 def _tile_counts(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> dict:
@@ -235,6 +276,109 @@ def _tile_counts(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> dict:
     }
 
 
+def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
+    """Nominal per-fetch bytes for one tile of each operand (padded extents)."""
+    halo_w = t_ow * op.stride + op.kernel - 1
+    halo_h = t_oh * op.stride + op.kernel - 1
+    act = _cast(t_ic * halo_w * halo_h * op.act_bits, np.float64) / 8.0
+    wgt = _cast(t_ic * t_oc * (op.kernel**2) * op.wgt_bits, np.float64) / 8.0
+    out = _cast(4 * t_oc * t_ow * t_oh, np.float64)
+    return act, wgt, out
+
+
+def _clipped_tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
+    """Per-operand bytes of the largest tile actually fetched, the tile
+    clipped to the tensor extents: what must fit the caches.  Traffic uses
+    the nominal bytes."""
+    return _tile_bytes(op, _minimum(t_oc, op.out_channels), _minimum(t_ic, op.in_channels),
+                       _minimum(t_ow, op.out_rows), _minimum(t_oh, op.out_rows))
+
+
+class _Terms(NamedTuple):
+    """The cost terms of a set of tilings that no config field changes.
+
+    On a grid each term spans at most three of the four tile axes: the
+    products of all four (N_tiles, padded MACs) are kept as two factors of
+    two axes each, so a cached table stays a fraction of the grid's size.
+    """
+
+    counts: dict  # tile count per loop dimension
+    multi: dict  # per loop dimension: more than one tile
+    unique: dict  # distinct tiles per operand
+    padded_io: object  # padded MACs = padded_io * padded_hw
+    padded_hw: object
+    psum_bytes: object  # partial sums spilled once per input-channel step
+    act_tile: object  # nominal per-fetch bytes
+    wgt_tile: object
+    unique_out_bytes: object  # every distinct output tile written once
+
+
+def _config_free_terms(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _Terms:
+    """The terms no config field changes, in the shape of the tile sizes."""
+    counts = _tile_counts(op, t_oc, t_ic, t_ow, t_oh)
+    unique = {}
+    for operand, (first, *rest) in OPERAND_DEPS.items():
+        uniq = counts[first]
+        for dim in rest:
+            uniq = uniq * counts[dim]
+        unique[operand] = uniq
+    padded_io = (counts["I"] * t_ic) * (counts["O"] * t_oc)
+    padded_hw = (counts["H"] * t_oh) * (counts["W"] * t_ow) * op.kernel**2
+    psum_bytes = 8.0 * operator_footprints(op).out_elems * _cast(counts["I"], np.float64)
+    act_tile, wgt_tile, out_tile = _tile_bytes(op, t_oc, t_ic, t_ow, t_oh)
+    multi = {dim: count > 1 for dim, count in counts.items()}
+    unique_out_bytes = _cast(unique["out"], np.float64) * out_tile
+    return _Terms(counts, multi, unique, padded_io, padded_hw, psum_bytes, act_tile, wgt_tile,
+                  unique_out_bytes)
+
+
+class _GridTable(NamedTuple):
+    """An operator's candidate grid and its config-independent terms."""
+
+    grid: tuple  # (t_oc, t_ic, t_oh, t_ow), an open grid
+    terms: _Terms
+    clipped: tuple  # clipped (act, wgt, out) tile bytes, the fit mask's input
+
+
+def _freeze(value):
+    """Make every array in `value` (nested in tuples and dicts) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+
+
+@lru_cache(maxsize=256)
+def _grid_table(op: OperatorDescriptor) -> _GridTable:
+    """The open grid of the operator's candidate tile sizes, one int64 axis
+    per dimension in the order (t_oc, t_ic, t_oh, t_ow), with every term
+    computed on it that does not depend on the config.  Every array is
+    read-only, so no caller can change what later calls read."""
+    dims = (op.out_channels, op.in_channels, op.out_rows, op.out_rows)
+    axes = (np.asarray(tile_size_choices(d), dtype=np.int64) for d in dims)
+    t_oc, t_ic, t_oh, t_ow = grid = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+    table = _GridTable(grid, _config_free_terms(op, t_oc, t_ic, t_ow, t_oh),
+                       _clipped_tile_bytes(op, t_oc, t_ic, t_ow, t_oh))
+    _freeze(table)
+    return table
+
+
+def _grid_table_of(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _GridTable | None:
+    """The operator's table if the tile sizes are its candidate grid itself
+    (the arrays `_grid_table` holds), else None."""
+    if type(t_oc) is not np.ndarray:
+        return None
+    table = _grid_table(op)
+    g_oc, g_ic, g_oh, g_ow = table.grid
+    if t_oc is g_oc and t_ic is g_ic and t_ow is g_ow and t_oh is g_oh:
+        return table
+    return None
+
+
 def _spatial_dims(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
     """The two tile dimensions mapped onto the PE array, and the MACs one
     array cell performs per tile (tile_macs / (d1 * d2), an exact quotient)."""
@@ -246,111 +390,73 @@ def _spatial_dims(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_
     return op.kernel, t_oh, t_ic * t_oc * t_ow * op.kernel  # RS
 
 
-def _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts):
-    """Compute cycles and padded MACs (N_tiles * tile_macs)."""
-    n_tiles = counts["I"] * counts["O"] * counts["H"] * counts["W"]
+def _compute_cycles(op, cfg, t_oc, t_ic, t_ow, t_oh, counts):
     d1, d2, cell_macs = _spatial_dims(op, cfg, t_oc, t_ic, t_ow, t_oh)
     bitspeed = (8 // op.act_bits) * (8 // op.wgt_bits)
     passes = _ceil_div(d1, cfg.pe_x) * _ceil_div(d2, cfg.pe_y)
-    per_tile = _ceil_div(passes * cell_macs, bitspeed)
-    padded_macs = ((counts["I"] * t_ic) * (counts["O"] * t_oc) * (counts["H"] * t_oh)
-                   * (counts["W"] * t_ow) * op.kernel**2)
-    return per_tile * n_tiles, padded_macs
+    # N_tiles as two factors (see `_Terms`)
+    return (_ceil_div(passes * cell_macs, bitspeed) * (counts["I"] * counts["O"])
+            * (counts["H"] * counts["W"]))
 
 
-def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
-    """Nominal per-fetch bytes for one tile of each operand (padded extents)."""
-    halo_w = t_ow * op.stride + op.kernel - 1
-    halo_h = t_oh * op.stride + op.kernel - 1
-    act = (t_ic * halo_w * halo_h * op.act_bits) / 8.0
-    wgt = (t_ic * t_oc * (op.kernel**2) * op.wgt_bits) / 8.0
-    out = (4 * t_oc * t_ow * t_oh).astype(np.float64)
-    return act, wgt, out
-
-
-def _fetch_counts(cfg: AcceleratorConfig, counts: dict):
-    """Fetch events per operand under the single-buffer re-fetch rule.
-
-    For a non-stationary operand the count is the product of loop extents from
-    the outermost loop down to the deepest loop the operand depends on, where
-    only dependent loops with more than one tile anchor that depth (a loop
-    iterated once cannot force a re-fetch).  The stationary operand is fetched
-    once per distinct tile.
-    """
-    stationary = STATIONARY_OPERAND[cfg.dataflow]
-    loops = cfg.loop_order.replace("B", "")
-    fetches = {}
-    unique = {}
+@lru_cache(maxsize=3 * 120)  # three stationary operands, 120 loop orders
+def _refetch_loops(loop_order: str, stationary: str) -> tuple:
+    """Per operand, the loops that can force its re-fetch: each loop it does
+    not depend on that has a loop it does depend on nested inside, paired
+    with those inner loops.  The stationary operand has none."""
+    loops = loop_order.replace("B", "")
+    plan = []
     for operand, deps in OPERAND_DEPS.items():
-        uniq = _ONE
-        for dim in deps:
-            uniq = uniq * counts[dim]
-        unique[operand] = uniq
-        if operand == stationary:
-            fetches[operand] = uniq
-            continue
-        running = events = _ONE
-        for dim in loops:
-            running = running * counts[dim]
-            if dim in deps:
-                events = _select(counts[dim] > 1, running, events)
-        fetches[operand] = events
-    return fetches, unique
+        forcing = []
+        for depth, dim in enumerate(loops):
+            inner = tuple(d for d in loops[depth + 1:] if d in deps)
+            if operand != stationary and dim not in deps and inner:
+                forcing.append((dim, inner))
+        plan.append((operand, tuple(forcing)))
+    return tuple(plan)
 
 
-def _traffic_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts):
-    act_tile, wgt_tile, out_tile = _tile_bytes(op, t_oc, t_ic, t_ow, t_oh)
-    fetches, unique = _fetch_counts(cfg, counts)
-    act_bytes = fetches["act"].astype(np.float64) * act_tile
-    wgt_bytes = fetches["wgt"].astype(np.float64) * wgt_tile
-    revisits = fetches["out"] // unique["out"]
-    unique_out_bytes = unique["out"].astype(np.float64) * out_tile
-    out_bytes = unique_out_bytes * (2 * revisits - 1).astype(np.float64)
-    total = act_bytes + wgt_bytes + out_bytes
-    return act_bytes, wgt_bytes, out_bytes, total, fetches, unique
+def _refetch_factors(cfg: AcceleratorConfig, counts: dict, multi: dict) -> dict:
+    """Fetches per distinct tile of each operand, `fetches / unique` in the
+    closed form of the module docstring.  A factor that is 1 for every
+    tiling is `_ONE` itself."""
+    factors = {}
+    for operand, forcing in _refetch_loops(cfg.loop_order, STATIONARY_OPERAND[cfg.dataflow]):
+        factor = _ONE
+        for dim, inner in forcing:
+            moves = multi[inner[0]]
+            for d in inner[1:]:
+                moves = moves | multi[d]
+            step = _select(moves, counts[dim], _ONE)
+            factor = step if factor is _ONE else factor * step
+        factors[operand] = factor
+    return factors
 
 
 def _weighted(energy_mj, latency_ms, area_mm2, w: CostWeights):
     return w.lambda_e * energy_mj + w.lambda_l * latency_ms + w.lambda_a * area_mm2
 
 
-def evaluate_tilings(
-    op: OperatorDescriptor,
-    cfg: AcceleratorConfig,
-    t_oc,
-    t_ic,
-    t_ow,
-    t_oh,
-    constants: CostConstants | None = None,
-) -> dict[str, np.ndarray]:
-    """Cost evaluation over int64 scalars, flat arrays or an open grid of
-    tile sizes; each output has the broadcast shape of the inputs it
-    depends on.
+def _config_terms(op, cfg, constants, t_oc, t_ic, t_ow, t_oh, terms: _Terms) -> dict:
+    """Every output of `evaluate_tilings` from the config-independent terms."""
+    compute = _compute_cycles(op, cfg, t_oc, t_ic, t_ow, t_oh, terms.counts)
+    factors = _refetch_factors(cfg, terms.counts, terms.multi)
+    fetches = {operand: uniq if factors[operand] is _ONE else uniq * factors[operand]
+               for operand, uniq in terms.unique.items()}
+    act_b = _cast(fetches["act"], np.float64) * terms.act_tile
+    wgt_b = _cast(fetches["wgt"], np.float64) * terms.wgt_tile
+    out_b = terms.unique_out_bytes * _cast(2 * factors["out"] - 1, np.float64)
+    total_b = act_b + wgt_b + out_b
 
-    Feasibility is not checked here: `fits_caches_mask` gives it for the same
-    inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
-    or refuse them (the scalar views).
-    """
-    constants = constants or CostConstants()
-    t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
-    counts = _tile_counts(op, t_oc, t_ic, t_ow, t_oh)
-    compute, padded = _cycles_arrays(op, cfg, t_oc, t_ic, t_ow, t_oh, counts)
-    act_b, wgt_b, out_b, total_b, fetches, unique = _traffic_arrays(
-        op, cfg, t_oc, t_ic, t_ow, t_oh, counts
-    )
-
-    mem_cycles = np.ceil(total_b / constants.dram_bw_bytes_per_cycle).astype(np.int64)
+    mem_cycles = _cast(np.ceil(total_b / constants.dram_bw_bytes_per_cycle), np.int64)
     cycles = np.maximum(compute, mem_cycles)
-    latency_ms = cycles.astype(np.float64) / (constants.f_clk_mhz * 1000.0)
+    latency_ms = _cast(cycles, np.float64) / (constants.f_clk_mhz * 1000.0)
 
-    padded_macs = padded.astype(np.float64)
-    fp = operator_footprints(op)
+    padded_macs = _cast(terms.padded_io * terms.padded_hw, np.float64)
     mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
-    sram_bytes = (
-        padded_macs * (op.act_bits + op.wgt_bits) / 8.0
-        + 8.0 * fp.out_elems * counts["I"].astype(np.float64)
-    )
-    energy_pj = mac_pj + sram_bytes * constants.e_sram_pj_per_byte + total_b * constants.e_dram_pj_per_byte
+    sram_bytes = padded_macs * (op.act_bits + op.wgt_bits) / 8.0 + terms.psum_bytes
+    energy_pj = (mac_pj + sram_bytes * constants.e_sram_pj_per_byte
+                 + total_b * constants.e_dram_pj_per_byte)
     energy_mj = energy_pj * 1e-9
 
     return {
@@ -366,20 +472,47 @@ def evaluate_tilings(
         "act_fetches": fetches["act"],
         "wgt_fetches": fetches["wgt"],
         "out_fetches": fetches["out"],
-        "out_unique_tiles": unique["out"],
+        "out_unique_tiles": terms.unique["out"],
     }
+
+
+def evaluate_tilings(
+    op: OperatorDescriptor,
+    cfg: AcceleratorConfig,
+    t_oc,
+    t_ic,
+    t_ow,
+    t_oh,
+    constants: CostConstants | None = None,
+) -> dict[str, np.ndarray]:
+    """Cost evaluation over int64 scalars, flat arrays or an open grid of
+    tile sizes; each output has the broadcast shape of the inputs it
+    depends on.  On the operator's own candidate grid the config-independent
+    terms are read from its cached table, and outputs that are such terms
+    are its read-only arrays.
+
+    Feasibility is not checked here: `fits_caches_mask` gives it for the same
+    inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
+    or refuse them (the scalar views).
+    """
+    constants = constants or CostConstants()
+    table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
+    if table is None:
+        t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
+        terms = _config_free_terms(op, t_oc, t_ic, t_ow, t_oh)
+    else:
+        terms = table.terms
+    return _config_terms(op, cfg, constants, t_oc, t_ic, t_ow, t_oh, terms)
 
 
 def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
     """Cache-fit test per tiling, over the same input shapes as
-    `evaluate_tilings`.  The largest tile actually fetched is the one clipped
-    to the tensor extents, so the check clips; traffic does not."""
-    t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
-    c_oc = np.minimum(t_oc, op.out_channels)
-    c_ic = np.minimum(t_ic, op.in_channels)
-    c_ow = np.minimum(t_ow, op.out_rows)
-    c_oh = np.minimum(t_oh, op.out_rows)
-    act, wgt, out = _tile_bytes(op, c_oc, c_ic, c_ow, c_oh)
+    `evaluate_tilings`: the clipped tile of each operand against its cache."""
+    table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
+    if table is None:
+        act, wgt, out = _clipped_tile_bytes(op, *map(_as_i64, (t_oc, t_ic, t_ow, t_oh)))
+    else:
+        act, wgt, out = table.clipped
     return (
         (act <= cfg.act_cache_kb * 1024)
         & (wgt <= cfg.wgt_cache_kb * 1024)

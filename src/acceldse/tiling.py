@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .costmodel import (
     CostBreakdown,
     CostConstants,
     CostWeights,
-    TILE_POW2_MAX,
     TilingPlan,
+    _grid_table,
     _weighted,
     estimate_cost,
     evaluate_tilings,
@@ -53,27 +52,12 @@ class SubnetMapping:
     wall_time_s: float
 
 
-def tile_size_choices(dim: int) -> tuple[int, ...]:
-    """Powers of two from 1 up to the smallest power covering `dim`, capped at 2^10."""
-    sizes = []
-    for i in range(TILE_POW2_MAX + 1):
-        size = 2**i
-        sizes.append(size)
-        if size >= dim:
-            break
-    return tuple(sizes)
-
-
-@lru_cache(maxsize=256)
 def _candidate_grid(op: OperatorDescriptor) -> tuple[np.ndarray, ...]:
     """The open grid of candidate tile sizes (t_oc, t_ic, t_oh, t_ow), one
-    read-only int64 axis each; the candidates are its lexicographic order."""
-    dims = (op.out_channels, op.in_channels, op.out_rows, op.out_rows)
-    axes = (np.asarray(tile_size_choices(d), dtype=np.int64) for d in dims)
-    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
-    for g in grid:
-        g.flags.writeable = False
-    return tuple(grid)
+    read-only int64 axis each; the candidates are its lexicographic order.
+    It is cached with the operator's config-independent cost terms, which
+    `evaluate_tilings` and `fits_caches_mask` read when given this grid."""
+    return _grid_table(op).grid
 
 
 def _candidate_arrays(op: OperatorDescriptor):

@@ -97,6 +97,19 @@ def test_param_space_rejects_illegal_candidates():
         ParamSpace(pe_x=())
 
 
+def test_param_space_rejects_repeated_candidates():
+    # each distinct config is scored once by the exhaustive engine and drawn
+    # with equal odds by the sampling engines only if no candidate repeats
+    with pytest.raises(ValueError, match=r"pe_x candidates repeat: \[8\]"):
+        ParamSpace(pe_x=(8, 16, 8))
+    with pytest.raises(ValueError, match=r"dataflows candidates repeat: \['WS'\]"):
+        ParamSpace(dataflows=("WS", Dataflow.WS))
+    with pytest.raises(ValueError, match="loop_orders candidates repeat"):
+        ParamSpace(loop_orders=all_loop_orders() + ("BIOHW",))
+    with pytest.raises(InvalidDocument, match="space document: pe_x candidates repeat"):
+        load_space(json.dumps({"pe_x": [8, 8], "dataflow": ["WS", "WS"]}))
+
+
 def test_load_accel_roundtrip(ref_cfg):
     doc = json.dumps({
         "pe_x": 16, "pe_y": 16, "act_cache_kb": 384, "wgt_cache_kb": 384,

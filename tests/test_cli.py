@@ -451,13 +451,15 @@ def replaced(doc, path, value):
     ("tiling", ("tilings", 0, "t_oc"), 4.7),
     ("space", ("pe_x",), ["a"]),
     ("space", ("pe_x",), [8.5]),
+    ("space", ("pe_x",), [8, 8]),
+    ("space", ("dataflow",), ["WS", "WS"]),
     ("accel", ("pe_x",), 16.7),
     ("constants", ("f_clk_mhz",), float("nan")),
     # a shape too large for the cost model's int64 arrays
     ("workload", ("operators", 0, "kernel"), 2**40),
 ], ids=["bit-choices-int", "layers-int", "beta-row-length", "bit-choice-float",
         "tilings-int", "t-oc-null", "t-oc-float", "pe-x-string", "pe-x-float-candidate",
-        "pe-x-float", "clock-nan", "kernel-too-large"])
+        "pe-x-repeated", "dataflow-repeated", "pe-x-float", "clock-nan", "kernel-too-large"])
 def test_malformed_document_exit_2(tmp_path, capsys, kind, path, value):
     text = json.dumps(replaced(VALID_DOCS[kind], path, value))
     assert run_with_document(tmp_path, kind, text) == 2
