@@ -31,7 +31,6 @@ from .costmodel import (
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
     AccelSearchResult,
-    FeatureNormalizers,
     GeneratorNet,
     SearchBudget,
     anneal_search,

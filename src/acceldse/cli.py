@@ -40,6 +40,7 @@ from .costmodel import (
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
+    ENGINES,
     GeneratorNet,
     SearchBudget,
     anneal_search,
@@ -252,7 +253,7 @@ def cmd_cost(args) -> int:
 def cmd_search_tile(args) -> int:
     subnet = load_subnet(_read_text(args.workload))
     cfg = load_accel(_read_text(args.accel))
-    mapping = map_subnet(subnet, cfg, _constants(args))
+    mapping = map_subnet(subnet, cfg, _constants(args), _from_args(CostWeights, args))
 
     cost_columns = ("energy_mj", "latency_ms", "dram_bytes")
     lines = [",".join(("op_index", *TILING_FIELDS, *cost_columns))]
@@ -352,11 +353,6 @@ def _add_fields(parser: argparse.ArgumentParser, cls, exclude=()) -> None:
                                 default=f.default)
 
 
-def _add_budget(parser: argparse.ArgumentParser) -> None:
-    _add_fields(parser, SearchBudget, exclude=("seed",))
-    parser.add_argument("--gumbel-mode", choices=("paper", "standard"), default="standard")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="acceldse", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -381,18 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
     accel = kinds.add_parser("accel", help="search accelerator parameters")
     accel.add_argument("--workload", required=True)
     accel.add_argument("--space", help="parameter-space JSON (default: full space)")
-    accel.add_argument("--engine", required=True, choices=("anneal", "generator", "exhaustive"))
+    accel.add_argument("--engine", required=True, choices=ENGINES)
+    accel.add_argument("--gumbel-mode", choices=("paper", "standard"), default="standard",
+                       help="relaxation noise of the generator's reported head sample")
     _add_common(accel)
-    _add_budget(accel)
+    _add_fields(accel, SearchBudget, exclude=("seed",))
     accel.set_defaults(func=cmd_search_accel)
 
     co = kinds.add_parser("co", help="one joint co-search step")
     co.add_argument("--state", required=True, help="supernet state JSON")
     co.add_argument("--space", help="parameter-space JSON (default: full space)")
-    co.add_argument("--engine", default="anneal", choices=("anneal", "generator", "exhaustive"))
+    co.add_argument("--engine", default="anneal", choices=ENGINES)
     co.add_argument("--lambda", dest="lam", type=float, default=JointWeights.lam)
     _add_common(co)
-    _add_budget(co)
+    _add_fields(co, SearchBudget, exclude=("seed",))
     co.set_defaults(func=cmd_search_co)
 
     return parser

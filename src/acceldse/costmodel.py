@@ -85,7 +85,7 @@ import numpy as np
 
 from .accel import AcceleratorConfig, AreaConstants, Dataflow, area
 from .errors import NoFeasibleTiling
-from .workload import TILE_POW2_MAX, OperatorDescriptor, operator_footprints
+from .workload import TILE_POW2_MAX, OperatorDescriptor
 
 COST_MODEL_VERSION = 1
 
@@ -324,7 +324,7 @@ def _config_free_terms(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _Terms
         unique[operand] = uniq
     padded_io = (counts["I"] * t_ic) * (counts["O"] * t_oc)
     padded_hw = (counts["H"] * t_oh) * (counts["W"] * t_ow) * op.kernel**2
-    psum_bytes = 8.0 * operator_footprints(op).out_elems * _cast(counts["I"], np.float64)
+    psum_bytes = 8.0 * (op.out_channels * op.out_rows**2) * _cast(counts["I"], np.float64)
     act_tile, wgt_tile, out_tile = _tile_bytes(op, t_oc, t_ic, t_ow, t_oh)
     multi = {dim: count > 1 for dim, count in counts.items()}
     unique_out_bytes = _cast(unique["out"], np.float64) * out_tile

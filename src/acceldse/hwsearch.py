@@ -1,7 +1,9 @@
 """Accelerator parameter search over a `ParamSpace` for a fixed subnet.
 
-Three engines share one scoring path (tiling search per operator, then the
-weighted energy/latency/area cost):
+Three engines pick one candidate index per config field and score the
+resulting choice tuple through one memoized scorer (tiling search per
+operator, then the weighted energy/latency/area cost); a config is built
+only for a tuple the scorer has not seen and for the returned winner:
 
 * `exhaustive_search` - ground-truth argmin, guarded to small spaces;
 * `anneal_search` - classic simulated annealing over the seven fields;
@@ -18,50 +20,40 @@ return configs that admit a feasible mapping.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import AcceleratorConfig, ParamSpace, iter_configs, space_cardinality
+from .accel import AcceleratorConfig, ParamSpace, space_cardinality
 from .costmodel import CostConstants, CostWeights, hw_cost
 from .errors import NoFeasibleTiling, SpaceTooLarge
 from .quant import gumbel_softmax
 from .tiling import map_subnet
-from .workload import OPERATOR_FIELDS, SubnetDescriptor, encode_operator
+from .workload import SubnetDescriptor, encode_operator
+
+ENGINES = ("anneal", "generator", "exhaustive")
+
+# The largest space `exhaustive_search` enumerates.
+_EXHAUSTIVE_GUARD = 1_000_000
+
+# Feature scales: each operator field's maximum in `OPERATOR_FIELDS` order
+# (kernel, stride, out_rows, in_channels, out_channels, act_bits, wgt_bits),
+# then the operator count's.
+_FEATURE_SCALES = np.array([7.0, 2.0, 224.0, 1024.0, 1024.0, 8.0, 8.0, 64.0])
 
 
-@dataclass(frozen=True)
-class FeatureNormalizers:
-    """Per-field maxima used to scale operator encodings into [0, 1]."""
-
-    kernel: float = 7.0
-    stride: float = 2.0
-    out_rows: float = 224.0
-    in_channels: float = 1024.0
-    out_channels: float = 1024.0
-    act_bits: float = 8.0
-    wgt_bits: float = 8.0
-    count: float = 64.0
-
-    def as_vector(self) -> np.ndarray:
-        """The per-operator-field maxima, in encoding order (`count` excluded)."""
-        return np.array([getattr(self, name) for name in OPERATOR_FIELDS], dtype=np.float64)
-
-
-def featurize_subnet(
-    subnet: SubnetDescriptor, normalizers: FeatureNormalizers | None = None
-) -> np.ndarray:
+def featurize_subnet(subnet: SubnetDescriptor) -> np.ndarray:
     """Mean-pooled normalized operator encodings plus a scaled operator count.
 
     Pooling makes the feature invariant to permutations of identical
     operators; the count channel distinguishes subnet depth.
     """
-    norms = normalizers or FeatureNormalizers()
     vectors = np.array([encode_operator(op) for op in subnet], dtype=np.float64)
-    pooled = (vectors / norms.as_vector()).mean(axis=0)
-    return np.concatenate([pooled, [len(subnet) / norms.count]])
+    pooled = (vectors / _FEATURE_SCALES[:-1]).mean(axis=0)
+    return np.concatenate([pooled, [len(subnet) / _FEATURE_SCALES[-1]]])
 
 
 @dataclass(frozen=True)
@@ -205,9 +197,6 @@ class GeneratorNet:
             head["p"] -= lr * g["p"]
             head["q"] -= lr * g["q"]
 
-    def decode(self, choices) -> AcceleratorConfig:
-        return self.space.config_at(choices)
-
 
 def generator_forward(
     net: GeneratorNet,
@@ -225,29 +214,36 @@ def generator_forward(
     rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
     probs = [gumbel_softmax(l, tau, mode=mode, rng=rng) for l in logits]
     choices = tuple(int(np.argmax(p)) for p in probs)
-    return probs, net.decode(choices)
+    return probs, net.space.config_at(choices)
 
 
 def make_subnet_scorer(
     subnet: SubnetDescriptor,
+    space: ParamSpace,
     constants: CostConstants | None,
     weights: CostWeights | None,
 ):
-    """Memoized config -> (cost, feasible) scorer shared by all engines."""
+    """Memoized choice tuple -> (cost, feasible) scorer shared by all engines.
+
+    A choice tuple holds one candidate index per field of `space`.  The memo
+    is keyed on the tuple, and `space.config_at` builds the config only when
+    a tuple is scored the first time.  Since `ParamSpace` rejects repeated
+    candidates, each tuple names exactly one config and each config one tuple,
+    so this memo holds what a memo keyed on configs would.
+    """
     constants = constants or CostConstants()
     weights = weights or CostWeights()
     memo: dict[tuple, float | None] = {}
     state = {"worst": None}
 
-    def score(cfg: AcceleratorConfig):
-        key = cfg.as_tuple()
-        if key not in memo:
+    def score(choices: tuple[int, ...]):
+        if choices not in memo:
             try:
-                mapping = map_subnet(subnet, cfg, constants, weights)
-                memo[key] = hw_cost(mapping.total, weights)
+                mapping = map_subnet(subnet, space.config_at(choices), constants, weights)
+                memo[choices] = hw_cost(mapping.total, weights)
             except NoFeasibleTiling:
-                memo[key] = None
-        cost = memo[key]
+                memo[choices] = None
+        cost = memo[choices]
         if cost is None:
             worst = state["worst"]
             return (10.0 * worst if worst is not None else 1e9), False
@@ -453,13 +449,9 @@ def train_generator(
     budget = budget or SearchBudget()
     t0 = time.perf_counter()
     feats = featurize_subnet(subnet)
-    score_cfg = make_subnet_scorer(subnet, constants, weights)
-
-    def score_choices(choices):
-        return score_cfg(space.config_at(choices))
-
-    fit = train_policy(net, feats, score_choices, budget)
-    final_cost, final_feasible = score_choices(fit.choices)
+    score = make_subnet_scorer(subnet, space, constants, weights)
+    fit = train_policy(net, feats, score, budget)
+    final_cost, final_feasible = score(fit.choices)
     if final_feasible:
         config, cost = space.config_at(fit.choices), final_cost
     elif fit.best_choices is not None:
@@ -493,14 +485,14 @@ def anneal_search(
     budget = budget or SearchBudget()
     t0 = time.perf_counter()
     rng = np.random.default_rng(budget.seed)
-    score = make_subnet_scorer(subnet, constants, weights)
+    score = make_subnet_scorer(subnet, space, constants, weights)
     sizes = space.field_sizes
 
     if initial is not None:
         choices = space.choices_of(initial)
     else:
         choices = tuple(int(rng.integers(n)) for n in sizes)
-    current_cost, current_feasible = score(space.config_at(choices))
+    current_cost, current_feasible = score(choices)
     evaluations = 1
     best_choices = choices if current_feasible else None
     best_cost = current_cost if current_feasible else None
@@ -512,7 +504,7 @@ def anneal_search(
         neighbor = list(choices)
         neighbor[field] = int(rng.integers(sizes[field]))
         neighbor = tuple(neighbor)
-        cost, feasible = score(space.config_at(neighbor))
+        cost, feasible = score(neighbor)
         evaluations += 1
         delta = cost - current_cost
         accept = delta < 0 or (
@@ -542,30 +534,29 @@ def exhaustive_search(
     space: ParamSpace,
     constants: CostConstants | None = None,
     weights: CostWeights | None = None,
-    guard: int = 1_000_000,
 ) -> AccelSearchResult:
-    """Global argmin over the whole space; refuses spaces above `guard`.
+    """Global argmin over the whole space; refuses spaces above
+    `_EXHAUSTIVE_GUARD` configs.
 
     Ties break toward the lexicographically first config in the space's
-    candidate ordering.
+    candidate ordering (the order of `iter_configs`).
     """
     cardinality = space_cardinality(space)
-    if cardinality > guard:
-        raise SpaceTooLarge(
-            f"space has {cardinality} configs, above the exhaustive guard of {guard}"
-        )
+    if cardinality > _EXHAUSTIVE_GUARD:
+        raise SpaceTooLarge(f"space has {cardinality} configs, above the exhaustive guard "
+                            f"of {_EXHAUSTIVE_GUARD}")
     t0 = time.perf_counter()
-    score = make_subnet_scorer(subnet, constants, weights)
-    best_cfg = None
+    score = make_subnet_scorer(subnet, space, constants, weights)
+    best_choices = None
     best_cost = None
-    for cfg in iter_configs(space):
-        cost, feasible = score(cfg)
+    for choices in itertools.product(*map(range, space.field_sizes)):
+        cost, feasible = score(choices)
         if feasible and (best_cost is None or cost < best_cost):
-            best_cfg, best_cost = cfg, cost
-    if best_cfg is None:
+            best_choices, best_cost = choices, cost
+    if best_choices is None:
         raise NoFeasibleTiling("no config in the space admits a feasible tiling")
     return AccelSearchResult(
-        config=best_cfg,
+        config=space.config_at(best_choices),
         cost=best_cost,
         evaluations=cardinality,
         wall_time_s=time.perf_counter() - t0,

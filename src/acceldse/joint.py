@@ -19,6 +19,7 @@ from .accel import AcceleratorConfig, ParamSpace
 from .costmodel import CostConstants, CostWeights, hw_cost
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .hwsearch import (
+    ENGINES,
     GeneratorNet,
     SearchBudget,
     anneal_search,
@@ -27,8 +28,6 @@ from .hwsearch import (
 )
 from .tiling import SubnetMapping, map_subnet
 from .workload import OperatorDescriptor, SubnetDescriptor, operator_from_dict, with_bits
-
-ENGINES = ("anneal", "generator", "exhaustive")
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,31 @@ def test_search_tile_schema_and_determinism(docs, tmp_path, capsys):
     assert header == "op_index,t_oc,t_ic,t_ow,t_oh,energy_mj,latency_ms,dram_bytes"
 
 
+@pytest.mark.parametrize("weights", [("1", "0", "0"), ("0", "1", "0")])
+def test_search_tile_honours_cost_weights(docs, tmp_path, capsys, weights):
+    """`search tile` picks each operator's tiling under the weights it is
+    given, as `cost` does; these weightings move tilings off the defaults'."""
+    wpath, _ = small_docs(tmp_path)
+    base = ["--workload", wpath, "--accel", docs["accel.json"]]
+    flags = ["--lambda-e", weights[0], "--lambda-l", weights[1], "--lambda-a", weights[2]]
+
+    def tile_rows(extra):
+        out = tmp_path / "tilings.csv"
+        assert main(["search", "tile", *base, "--out", str(out), *extra]) == 0
+        capsys.readouterr()
+        return [tuple(map(int, line.split(",")[1:5]))
+                for line in out.read_text().splitlines()[1:]]
+
+    out = tmp_path / "cost.json"
+    assert main(["cost", *base, "--out", str(out), *flags]) == 0
+    report = json.loads(out.read_text())
+    cost_rows = [tuple(op["tiling"][k] for k in ("t_oc", "t_ic", "t_ow", "t_oh"))
+                 for op in report["per_operator"]]
+    weighted = tile_rows(flags)
+    assert weighted == cost_rows
+    assert weighted != tile_rows([])
+
+
 def test_search_accel_exhaustive_matches_library(tmp_path):
     wpath, spath = small_docs(tmp_path)
     out = tmp_path / "accel_report.json"
@@ -180,6 +205,16 @@ def test_search_co(tmp_path):
     assert report["lambda"] == 0.002
     assert report["subnet"]["operators"][0]["kernel"] == 3
     assert report["e_hw"] > 0
+
+
+def test_search_co_rejects_gumbel_mode(tmp_path):
+    """`--gumbel-mode` shapes only `search accel`'s generator report, so
+    `search co` does not accept it."""
+    _, spath = small_docs(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", "co", "--state", str(tmp_path / "state.json"), "--space", spath,
+              "--gumbel-mode", "paper"])
+    assert excinfo.value.code == 2
 
 
 def test_reports_revalidate_roundtrip(tmp_path):

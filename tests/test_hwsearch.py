@@ -17,7 +17,8 @@ from acceldse import (
     generator_forward,
     train_generator,
 )
-from acceldse.hwsearch import FeatureNormalizers, make_subnet_scorer, train_policy
+from acceldse import hwsearch
+from acceldse.hwsearch import ENGINES, make_subnet_scorer, train_policy
 
 TOY_SPACE = ParamSpace(
     pe_x=(16,), pe_y=(16,), act_cache_kb=(64,), wgt_cache_kb=(64,), out_cache_kb=(64,),
@@ -205,9 +206,9 @@ def test_exhaustive_singleton_and_guard(small_subnet):
 
 def test_scorer_penalty_without_feasible_cost():
     op = OperatorDescriptor(724, 1, 1, 1, 1, 8, 8)
-    scorer = make_subnet_scorer(SubnetDescriptor((op,)), None, None)
+    scorer = make_subnet_scorer(SubnetDescriptor((op,)), SINGLETON_SPACE, None, None)
     cfg = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
-    cost, feasible = scorer(cfg)
+    cost, feasible = scorer(SINGLETON_SPACE.choices_of(cfg))
     assert not feasible
     assert cost == 1e9
 
@@ -223,3 +224,43 @@ def test_all_infeasible_raises():
         exhaustive_search(subnet, space)
     with pytest.raises(NoFeasibleTiling):
         anneal_search(subnet, space, budget=SearchBudget(max_evaluations=10, seed=0))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_config_built_once_per_distinct_choices(engine, small_subnet, reduced_space_24,
+                                                monkeypatch):
+    """Every engine scores choice tuples and builds a config only for a tuple
+    the scorer has not seen, in first-seen order, then once for the winner."""
+    space = reduced_space_24
+    built, scored = [], []
+    config_at = ParamSpace.config_at
+
+    def counting_config_at(self, choices):
+        built.append(tuple(choices))
+        return config_at(self, choices)
+
+    def recording_scorer(*args):
+        score = make_subnet_scorer(*args)
+
+        def recorded(choices):
+            scored.append(choices)
+            return score(choices)
+
+        return recorded
+
+    monkeypatch.setattr(ParamSpace, "config_at", counting_config_at)
+    monkeypatch.setattr(hwsearch, "make_subnet_scorer", recording_scorer)
+    budget = SearchBudget(max_evaluations=200, seed=3, steps=40, samples_per_step=5)
+    if engine == "exhaustive":
+        result = exhaustive_search(small_subnet, space)
+    elif engine == "anneal":
+        result = anneal_search(small_subnet, space, budget=budget)
+    else:
+        result = train_generator(GeneratorNet(space, seed=3), small_subnet, space, budget=budget)
+    distinct = list(dict.fromkeys(scored))
+    if engine == "exhaustive":
+        assert scored == distinct and len(distinct) == 24
+    else:
+        assert len(scored) > len(distinct)  # revisits, which must build no config
+    assert len(built) == len(distinct) + 1
+    assert built == distinct + [space.choices_of(result.config)]

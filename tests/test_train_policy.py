@@ -46,8 +46,7 @@ def table_scorer(values, feasible):
 
 
 def subnet_scorer(space):
-    score = make_subnet_scorer(make_small_subnet(), None, None)
-    return lambda choices: score(space.config_at(choices))
+    return make_subnet_scorer(make_small_subnet(), space, None, None)
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
