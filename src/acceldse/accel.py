@@ -12,6 +12,7 @@ strings over the dimension letters, outermost loop first:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -106,18 +107,31 @@ def validate_config(cfg: AcceleratorConfig) -> list[str]:
     return violations
 
 
+def check_range(obj, lows: dict, what: str) -> None:
+    """Raise `ValueError` unless each field of `obj` named in `lows` lies in
+    [its low bound, 2**64], a low bound being 0 or a power of two.  NaN lies
+    in no range."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        if not low <= value <= 2.0**64:
+            low_text = f"2**{math.frexp(low)[1] - 1}" if low else "0"
+            raise ValueError(f"{name} must lie in [{low_text}, 2**64] ({what}), got {value!r}")
+
+
 @dataclass(frozen=True)
 class AreaConstants:
-    """Area model coefficients (mm²); placeholders of sane magnitude, not silicon data."""
+    """Area model coefficients (mm²); placeholders of sane magnitude, not silicon data.
+
+    Each lies in [0, 2**64], so a legal config's area stays below 2**77 mm².
+    """
 
     per_pe_mm2: float = 0.002
     per_kb_mm2: float = 0.0005
     fixed_mm2: float = 0.1
 
     def __post_init__(self):
-        for name in ("per_pe_mm2", "per_kb_mm2", "fixed_mm2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_range(self, dict.fromkeys(("per_pe_mm2", "per_kb_mm2", "fixed_mm2"), 0.0),
+                    "the area constants' range")
 
 
 def area(cfg: AcceleratorConfig, constants: AreaConstants | None = None) -> float:

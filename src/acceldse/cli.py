@@ -63,10 +63,6 @@ _BREAKDOWN_READERS = tuple((name, read_int if name == "cycles" else read_number)
 _key_constants = attrgetter(*_CONSTANT_FIELDS, *(f"area.{name}" for name in _AREA_FIELDS))
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -154,11 +150,25 @@ class CostCache:
             self._fd = None
 
 
-def _write_report(text: str, out: str | None) -> None:
+def _json_text(doc) -> str:
+    """A report document as text: indented by two spaces, newline-terminated."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    """A header line and one line per row, comma-separated, floats by `repr`."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_report(doc, out: str | None) -> None:
+    """Write the report document to the file `out`, or to stdout."""
+    text = _json_text(doc)
     if out:
         Path(out).write_text(text)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="")
 
 
 def _load_tilings(text: str, n_ops: int) -> list[TilingPlan]:
@@ -246,7 +256,7 @@ def cmd_cost(args) -> int:
         },
         "weights": {f.name: getattr(weights, f.name) for f in fields(weights)},
     }
-    _write_report(json.dumps(report, indent=2) + "\n", args.out)
+    _write_report(report, args.out)
     return 0
 
 
@@ -256,33 +266,31 @@ def cmd_search_tile(args) -> int:
     mapping = map_subnet(subnet, cfg, _constants(args), _from_args(CostWeights, args))
 
     cost_columns = ("energy_mj", "latency_ms", "dram_bytes")
-    lines = [",".join(("op_index", *TILING_FIELDS, *cost_columns))]
-    for i, r in enumerate(mapping.per_op):
-        costs = (getattr(r.cost, name) for name in cost_columns)
-        lines.append(",".join(_fmt(v) for v in (i, *r.best.as_tuple(), *costs)))
-    csv_text = "\n".join(lines) + "\n"
-    summary = {
+    csv_text = _csv_text(
+        ("op_index", *TILING_FIELDS, *cost_columns),
+        ((i, *r.best.as_tuple(), *(getattr(r.cost, name) for name in cost_columns))
+         for i, r in enumerate(mapping.per_op)))
+    summary = _json_text({
         "aggregate_cost": mapping.total.to_dict(),
         "n_candidates": [r.n_candidates for r in mapping.per_op],
         "n_feasible": [r.n_feasible for r in mapping.per_op],
         "per_op_wall_time_s": [r.wall_time_s for r in mapping.per_op],
         "total_wall_time_s": mapping.wall_time_s,
-    }
+    })
     if args.out:
         Path(args.out).write_text(csv_text)
-        print(json.dumps(summary, indent=2))
+        print(summary, end="")
     else:
         print(csv_text, end="")
-        print(json.dumps(summary, indent=2), file=sys.stderr)
+        print(summary, end="", file=sys.stderr)
     return 0
 
 
 def _write_trace_csv(out: str, result) -> None:
     """One CSV row per trace row (`TraceRow` or `AnnealRow`), headed by its field names."""
     path = Path(out).with_suffix("").as_posix() + ".trace.csv"
-    lines = [",".join(f.name for f in fields(result.trace[0]))]
-    lines += [",".join(_fmt(v) for v in astuple(row)) for row in result.trace]
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = [f.name for f in fields(result.trace[0])]
+    Path(path).write_text(_csv_text(header, map(astuple, result.trace)))
 
 
 def cmd_search_accel(args) -> int:
@@ -319,7 +327,7 @@ def cmd_search_accel(args) -> int:
         "wall_time_s": result.wall_time_s,
         **report_extra,
     }
-    _write_report(json.dumps(report, indent=2) + "\n", args.out)
+    _write_report(report, args.out)
     if args.out and result.trace:
         _write_trace_csv(args.out, result)
     return 0
@@ -331,7 +339,7 @@ def cmd_search_co(args) -> int:
     weights = JointWeights(lam=args.lam, cost_weights=_from_args(CostWeights, args))
     report = co_search_step(state, space, _constants(args), weights,
                             _from_args(SearchBudget, args), engine=args.engine)
-    _write_report(report.to_json() + "\n", args.out)
+    _write_report(report.to_dict(), args.out)
     return 0
 
 
@@ -401,16 +409,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidDocument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoFeasibleTiling as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except ValueError as exc:  # `InvalidDocument` included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accel import AcceleratorConfig, AreaConstants, Dataflow, area
+from .accel import AcceleratorConfig, AreaConstants, Dataflow, area, check_range
 from .errors import NoFeasibleTiling
 from .workload import TILE_POW2_MAX, OperatorDescriptor
 
@@ -138,9 +138,10 @@ class CostConstants:
     """Estimator calibration constants.  Defaults are fixed here so that
     calibration never silently changes results.
 
-    Constants range.  `dram_bw_bytes_per_cycle` lies in [2**-13, 2**64] and
-    every other constant in [2**-64, 2**64]; the constructor rejects any
-    other value.  For an operator inside the operator range of
+    Constants range.  `dram_bw_bytes_per_cycle` lies in [2**-13, 2**64],
+    every other constant here in [2**-64, 2**64] and each area constant in
+    [0, 2**64] (`AreaConstants`); the constructors reject any other value.
+    For an operator inside the operator range of
     `acceldse.workload` (padded MACs < 2**63, so SRAM bytes < 2**67, and
     DRAM bytes < 2**50) this keeps `ceil(dram_bytes / bw)` below 2**63, so
     it fits int64, and keeps every per-operator energy in [2**-68, 2**132]
@@ -157,27 +158,30 @@ class CostConstants:
     area: AreaConstants = field(default_factory=AreaConstants)
 
     def __post_init__(self):
-        for name in ("f_clk_mhz", "dram_bw_bytes_per_cycle", "e_mac_pj",
-                     "e_sram_pj_per_byte", "e_dram_pj_per_byte"):
-            low = -13 if name == "dram_bw_bytes_per_cycle" else -64
-            value = getattr(self, name)
-            if not 2.0**low <= value <= 2.0**64:
-                raise ValueError(f"{name} must lie in [2**{low}, 2**64] (the cost "
-                                 f"constants' range), got {value!r}")
+        check_range(self, {"f_clk_mhz": 2.0**-64, "dram_bw_bytes_per_cycle": 2.0**-13,
+                           "e_mac_pj": 2.0**-64, "e_sram_pj_per_byte": 2.0**-64,
+                           "e_dram_pj_per_byte": 2.0**-64}, "the cost constants' range")
 
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Scalarization weights for energy (mJ), latency (ms), and area (mm²)."""
+    """Scalarization weights for energy (mJ), latency (ms), and area (mm²).
+
+    Weights range.  Each weight lies in [0, 2**64]; the constructor rejects
+    any other value, NaN included.  Within the constants' range (see
+    `CostConstants`) a per-operator energy stays below 2**103 mJ and a
+    latency below 2**118 ms, and a legal config's area below 2**77 mm², so
+    `hw_cost` adds less than 2**183 per operator and 2**141 for the area:
+    finite for any subnet a machine can hold.
+    """
 
     lambda_e: float = 0.33
     lambda_l: float = 0.33
     lambda_a: float = 0.33
 
     def __post_init__(self):
-        for name in ("lambda_e", "lambda_l", "lambda_a"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_range(self, dict.fromkeys(("lambda_e", "lambda_l", "lambda_a"), 0.0),
+                    "the weights' range")
 
 
 @dataclass(frozen=True)
@@ -433,10 +437,6 @@ def _refetch_factors(cfg: AcceleratorConfig, counts: dict, multi: dict) -> dict:
     return factors
 
 
-def _weighted(energy_mj, latency_ms, area_mm2, w: CostWeights):
-    return w.lambda_e * energy_mj + w.lambda_l * latency_ms + w.lambda_a * area_mm2
-
-
 def _config_terms(op, cfg, constants, t_oc, t_ic, t_ow, t_oh, terms: _Terms) -> dict:
     """Every output of `evaluate_tilings` from the config-independent terms."""
     compute = _compute_cycles(op, cfg, t_oc, t_ic, t_ow, t_oh, terms.counts)
@@ -581,7 +581,7 @@ def estimate_cost(
 def hw_cost(c: CostBreakdown, w: CostWeights | None = None) -> float:
     """Weighted scalar cost over energy, latency, and area (raw units)."""
     w = w or CostWeights()
-    return _weighted(c.energy_mj, c.latency_ms, c.area_mm2, w)
+    return w.lambda_e * c.energy_mj + w.lambda_l * c.latency_ms + w.lambda_a * c.area_mm2
 
 
 def edap(c: CostBreakdown) -> float:

@@ -11,11 +11,13 @@ only for a tuple the scorer has not seen and for the returned winner:
   trained with a score-function (likelihood-ratio) gradient and an
   exponential-moving-average baseline.  The cost model is not differentiable
   (ceilings, argmins), so pathwise gradients are unavailable by design; the
-  training trace records the estimator kind for downstream consumers.
+  `search accel` report's `gradient_estimator` field records the estimator
+  kind for downstream consumers.
 
 Sampled configs with no feasible tiling score a penalty of ten times the worst
 feasible cost seen so far, which keeps gradients finite; searches only ever
-return configs that admit a feasible mapping.
+return configs that admit a feasible mapping.  Every engine returns through
+`_result`, which raises `NoFeasibleTiling` when it found no such config.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,10 +36,16 @@ from .quant import gumbel_softmax
 from .tiling import map_subnet
 from .workload import SubnetDescriptor, encode_operator
 
-ENGINES = ("anneal", "generator", "exhaustive")
-
 # The largest space `exhaustive_search` enumerates.
 _EXHAUSTIVE_GUARD = 1_000_000
+
+# Each engine, with what it names when no config it scored was feasible.
+_NO_FEASIBLE = {
+    "anneal": "no visited accelerator config",
+    "generator": "no sampled accelerator config",
+    "exhaustive": "no config in the space",
+}
+ENGINES = tuple(_NO_FEASIBLE)
 
 # Feature scales: each operator field's maximum in `OPERATOR_FIELDS` order
 # (kernel, stride, out_rows, in_channels, out_channels, act_bits, wgt_bits),
@@ -74,6 +82,9 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_evaluations < 1 or self.steps < 1 or self.samples_per_step < 1:
             raise ValueError("budget counts must be positive")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.gumbel_tau <= 0:
             raise ValueError("gumbel_tau must be positive")
         if not 0 <= self.baseline_decay <= 1:
@@ -105,6 +116,16 @@ class AccelSearchResult:
     wall_time_s: float
     trace: tuple = ()
     engine: str = ""
+
+
+def _result(engine: str, space: ParamSpace, best_choices, best_cost, evaluations: int,
+            t0: float, trace=()) -> AccelSearchResult:
+    """The search result of `engine` for its best feasible choice tuple;
+    `NoFeasibleTiling` if it found none (`best_choices` is None)."""
+    if best_choices is None:
+        raise NoFeasibleTiling(f"{_NO_FEASIBLE[engine]} admits a feasible tiling")
+    return AccelSearchResult(space.config_at(best_choices), best_cost, evaluations,
+                             time.perf_counter() - t0, tuple(trace), engine)
 
 
 class GeneratorNet:
@@ -453,19 +474,10 @@ def train_generator(
     fit = train_policy(net, feats, score, budget)
     final_cost, final_feasible = score(fit.choices)
     if final_feasible:
-        config, cost = space.config_at(fit.choices), final_cost
-    elif fit.best_choices is not None:
-        config, cost = space.config_at(fit.best_choices), fit.best_cost
+        choices, cost = fit.choices, final_cost
     else:
-        raise NoFeasibleTiling("no sampled accelerator config admits a feasible tiling")
-    return AccelSearchResult(
-        config=config,
-        cost=cost,
-        evaluations=fit.evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        trace=fit.trace,
-        engine="generator",
-    )
+        choices, cost = fit.best_choices, fit.best_cost
+    return _result("generator", space, choices, cost, fit.evaluations, t0, fit.trace)
 
 
 def anneal_search(
@@ -493,19 +505,16 @@ def anneal_search(
     else:
         choices = tuple(int(rng.integers(n)) for n in sizes)
     current_cost, current_feasible = score(choices)
-    evaluations = 1
     best_choices = choices if current_feasible else None
     best_cost = current_cost if current_feasible else None
     temperature = budget.initial_temperature
     trace = []
-    step = 0
-    while evaluations < budget.max_evaluations:
+    for step in range(budget.max_evaluations - 1):
         field = int(rng.integers(len(sizes)))
         neighbor = list(choices)
         neighbor[field] = int(rng.integers(sizes[field]))
         neighbor = tuple(neighbor)
         cost, feasible = score(neighbor)
-        evaluations += 1
         delta = cost - current_cost
         accept = delta < 0 or (
             temperature > 0 and rng.random() < math.exp(-delta / temperature)
@@ -516,17 +525,7 @@ def anneal_search(
             best_cost, best_choices = cost, neighbor
         trace.append(AnnealRow(step, cost, best_cost if best_cost is not None else cost, temperature))
         temperature *= budget.cooling_rate
-        step += 1
-    if best_choices is None:
-        raise NoFeasibleTiling("no visited accelerator config admits a feasible tiling")
-    return AccelSearchResult(
-        config=space.config_at(best_choices),
-        cost=best_cost,
-        evaluations=evaluations,
-        wall_time_s=time.perf_counter() - t0,
-        trace=tuple(trace),
-        engine="anneal",
-    )
+    return _result("anneal", space, best_choices, best_cost, budget.max_evaluations, t0, trace)
 
 
 def exhaustive_search(
@@ -553,13 +552,4 @@ def exhaustive_search(
         cost, feasible = score(choices)
         if feasible and (best_cost is None or cost < best_cost):
             best_choices, best_cost = choices, cost
-    if best_choices is None:
-        raise NoFeasibleTiling("no config in the space admits a feasible tiling")
-    return AccelSearchResult(
-        config=space.config_at(best_choices),
-        cost=best_cost,
-        evaluations=cardinality,
-        wall_time_s=time.perf_counter() - t0,
-        trace=(),
-        engine="exhaustive",
-    )
+    return _result("exhaustive", space, best_choices, best_cost, cardinality, t0)

@@ -9,13 +9,12 @@ serializable report that an external trainer can bind into back-propagation.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .accel import AcceleratorConfig, ParamSpace
+from .accel import AcceleratorConfig, ParamSpace, check_range
 from .costmodel import CostConstants, CostWeights, hw_cost
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .hwsearch import (
@@ -32,14 +31,14 @@ from .workload import OperatorDescriptor, SubnetDescriptor, operator_from_dict, 
 
 @dataclass(frozen=True)
 class JointWeights:
-    """Lagrange multiplier plus the energy/latency/area weights."""
+    """Lagrange multiplier plus the energy/latency/area weights; `lam` lies in
+    the weights' range of `CostWeights`, so `lam * e_hw` stays finite."""
 
     lam: float = 0.001
     cost_weights: CostWeights = field(default_factory=CostWeights)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        check_range(self, {"lam": 0.0}, "the weights' range")
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,6 @@ class CoSearchReport:
             "search_evaluations": self.search_evaluations,
             "wall_time_s": self.wall_time_s,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def co_search_step(

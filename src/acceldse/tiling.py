@@ -7,8 +7,10 @@ costs are computed on the grid's axes, infeasible candidates score +inf, and
 the argmin over the raveled grid is the earliest cheapest feasible tiling.
 The `oracle_search` reference walks the same candidates, raveled from the
 same grid, strictly sequentially and exists so the batched path can be
-checked for exact equivalence.  Results aggregate from operators to subnets
-in `map_subnet`.
+checked for exact equivalence.  Both rank tilings by one objective,
+`_objective`: the weighted energy and latency, without the area term, which
+no tiling changes.  Results aggregate from operators to subnets in
+`map_subnet`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from .costmodel import (
     CostWeights,
     TilingPlan,
     _grid_table,
-    _weighted,
     estimate_cost,
     evaluate_tilings,
     fits_caches_mask,
-    hw_cost,
     subnet_total,
 )
 from .errors import NoFeasibleTiling
@@ -52,18 +52,10 @@ class SubnetMapping:
     wall_time_s: float
 
 
-def _candidate_grid(op: OperatorDescriptor) -> tuple[np.ndarray, ...]:
-    """The open grid of candidate tile sizes (t_oc, t_ic, t_oh, t_ow), one
-    read-only int64 axis each; the candidates are its lexicographic order.
-    It is cached with the operator's config-independent cost terms, which
-    `evaluate_tilings` and `fits_caches_mask` read when given this grid."""
-    return _grid_table(op).grid
-
-
 def _candidate_arrays(op: OperatorDescriptor):
-    """All raw tile-size candidates, the open grid raveled, lexicographic
-    ascending on (t_oc, t_ic, t_oh, t_ow)."""
-    t_oc, t_ic, t_oh, t_ow = (g.ravel() for g in np.broadcast_arrays(*_candidate_grid(op)))
+    """All raw tile-size candidates, the operator's open grid (`_grid_table`)
+    raveled, lexicographic ascending on (t_oc, t_ic, t_oh, t_ow)."""
+    t_oc, t_ic, t_oh, t_ow = (g.ravel() for g in np.broadcast_arrays(*_grid_table(op).grid))
     return t_oc, t_ic, t_ow, t_oh, t_oc.size
 
 
@@ -77,11 +69,17 @@ def enumerate_tilings(op: OperatorDescriptor, cfg: AcceleratorConfig) -> list[Ti
     ]
 
 
-def _tiling_weights(weights: CostWeights | None) -> CostWeights:
-    # Area does not depend on the tiling; zero it so constant offsets cannot
-    # perturb ties between candidates.
+def _objective(energy_mj, latency_ms, weights: CostWeights | None):
+    """The cost a tiling search minimizes, `λe·energy + λl·latency`, on
+    scalars or arrays.  Area does not depend on the tiling, so it is left
+    out and cannot perturb ties between candidates."""
     w = weights or CostWeights()
-    return CostWeights(w.lambda_e, w.lambda_l, 0.0)
+    return w.lambda_e * energy_mj + w.lambda_l * latency_ms
+
+
+def _no_fit(op: OperatorDescriptor, cfg: AcceleratorConfig) -> NoFeasibleTiling:
+    return NoFeasibleTiling(f"no tiling of operator {op} fits caches ({cfg.act_cache_kb}/"
+                            f"{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)")
 
 
 def batch_search(
@@ -97,17 +95,13 @@ def batch_search(
     """
     t0 = time.perf_counter()
     constants = constants or CostConstants()
-    w = _tiling_weights(weights)
-    t_oc, t_ic, t_oh, t_ow = grid = _candidate_grid(op)
+    t_oc, t_ic, t_oh, t_ow = grid = _grid_table(op).grid
     mask = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
     n_feasible = int(np.count_nonzero(mask))
     if n_feasible == 0:
-        raise NoFeasibleTiling(
-            f"no tiling of operator {op} fits caches "
-            f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
-        )
+        raise _no_fit(op, cfg)
     out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
-    costs = _weighted(out["energy_mj"], out["latency_ms"], area(cfg, constants.area), w)
+    costs = _objective(out["energy_mj"], out["latency_ms"], weights)
     idx = np.unravel_index(int(np.argmin(np.where(mask, costs, np.inf))), mask.shape)
     b_oc, b_ic, b_oh, b_ow = (int(g.flat[i]) for g, i in zip(grid, idx))
     best = TilingPlan(b_oc, b_ic, b_ow, b_oh)
@@ -131,20 +125,16 @@ def oracle_search(
     sequential, no batching, no pruning."""
     t0 = time.perf_counter()
     constants = constants or CostConstants()
-    w = _tiling_weights(weights)
     _, _, _, _, n_candidates = _candidate_arrays(op)
     plans = enumerate_tilings(op, cfg)
     if not plans:
-        raise NoFeasibleTiling(
-            f"no tiling of operator {op} fits caches "
-            f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
-        )
+        raise _no_fit(op, cfg)
     best_plan = None
     best_breakdown = None
     best_cost = None
     for plan in plans:
         breakdown = estimate_cost(op, cfg, plan, constants)
-        cost = hw_cost(breakdown, w)
+        cost = _objective(breakdown.energy_mj, breakdown.latency_ms, weights)
         if best_cost is None or cost < best_cost:
             best_plan, best_breakdown, best_cost = plan, breakdown, cost
     return TilingSearchResult(

@@ -401,6 +401,52 @@ def test_constants_outside_range_exit_2(tmp_path, capsys, field, value):
     assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
 
 
+def test_area_constant_outside_range_exit_2(tmp_path, capsys):
+    """An area constant above 2**64 is refused, not an infinite area in the report."""
+    workload, _ = small_docs(tmp_path)
+    accel = tmp_path / "accel.json"
+    accel.write_text(json.dumps(REF_ACCEL))
+    constants = tmp_path / "constants.json"
+    constants.write_text(json.dumps({"area": {"per_pe_mm2": 1e308}}))
+    assert main(["cost", "--workload", workload, "--accel", str(accel), "--constants",
+                 str(constants), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "per_pe_mm2" in err[0], err
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("cost", "--lambda-e", "nan", "lambda_e"),  # "hw_cost": NaN in the report
+    ("cost", "--lambda-e", "inf", "lambda_e"),  # "hw_cost": Infinity
+    ("cost", "--lambda-a", "1e308", "lambda_a"),  # an infinite weighted area
+    ("co", "--lambda", "nan", "lam"),  # "lambda": NaN
+    ("anneal", "--initial-temperature", "nan", "initial_temperature"),  # silently greedy
+    ("anneal", "--cooling-rate", "inf", "cooling_rate"),  # every step accepted
+    ("generator", "--tau-decay", "inf", "tau_decay"),  # an infinite temperature
+], ids=["lambda-e-nan", "lambda-e-inf", "lambda-a-huge", "lambda-nan",
+        "temperature-nan", "cooling-inf", "tau-decay-inf"])
+def test_flag_outside_range_exit_2(tmp_path, capsys, command, flag, value, field):
+    """A weight outside [0, 2**64] or a non-finite budget number is a usage
+    error, never a number in the report."""
+    workload, space = small_docs(tmp_path)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(SUPERNET))
+    accel = tmp_path / "accel.json"
+    accel.write_text(json.dumps(REF_ACCEL))
+    argv = {
+        "cost": ["cost", "--workload", workload, "--accel", str(accel)],
+        "co": ["search", "co", "--state", str(state), "--space", space],
+        "anneal": ["search", "accel", "--workload", workload, "--space", space,
+                   "--engine", "anneal", "--max-evaluations", "5"],
+        "generator": ["search", "accel", "--workload", workload, "--space", space,
+                      "--engine", "generator", "--steps", "2"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([*argv, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} must "), err
+    assert not out.exists()
+
+
 def test_cache_key_includes_cost_model_version(docs, tmp_path, monkeypatch):
     """A memo written under another cost-model version is never served."""
     cache = tmp_path / "memo.jsonl"

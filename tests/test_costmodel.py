@@ -23,8 +23,7 @@ from acceldse import (
     operator_footprints,
     tile_fits_caches,
 )
-from acceldse.costmodel import TILE_SIZES, evaluate_tilings
-from acceldse.tiling import _candidate_grid
+from acceldse.costmodel import TILE_SIZES, _grid_table, evaluate_tilings
 
 CFG64 = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
 
@@ -262,5 +261,5 @@ def test_range_corner_is_exact(op):
                 cycles, dram_bits = exact_cycles_and_dram_bits(op, cfg, tile)
                 assert int(out["cycles"]) == cycles
                 assert Fraction(float(out["dram_bytes"])) * 8 == dram_bits
-            grid = _candidate_grid(op)
+            grid = _grid_table(op).grid
             evaluate_tilings(op, cfg, grid[0], grid[1], grid[3], grid[2])

@@ -174,7 +174,7 @@ def test_co_search_step_unknown_engine():
 def test_co_search_report_serializable():
     state = SupernetState(layers=(layer([1.0, 0.0]),))
     report = co_search_step(state, singleton_space(), engine="exhaustive")
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps(report.to_dict()))
     assert parsed["accel_config"]["pe_x"] == 16
     assert parsed["tilings"][0]["op_index"] == 0
     assert "e_hw" in parsed and "lambda" in parsed

@@ -1,4 +1,4 @@
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from acceldse import (
     AcceleratorConfig,
+    AreaConstants,
     CostBreakdown,
     CostConstants,
     Dataflow,
@@ -27,8 +28,8 @@ from acceldse import (
     tile_size_choices,
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
-from acceldse.costmodel import CostWeights, evaluate_tilings, fits_caches_mask
-from acceldse.tiling import _candidate_arrays, _candidate_grid
+from acceldse.costmodel import CostWeights, _grid_table, evaluate_tilings, fits_caches_mask
+from acceldse.tiling import _candidate_arrays
 
 CFG = AcceleratorConfig(16, 16, 128, 128, 128, Dataflow.WS, "BIHWO")
 
@@ -201,6 +202,33 @@ def test_map_subnet_names_offending_operator():
     assert excinfo.value.op_index == 1
 
 
+# Each area term and weight anywhere in its accepted range, [0, 2**64].
+in_range = st.floats(0.0, 2.0**64)
+area_variants = st.tuples(in_range, st.builds(AreaConstants, in_range, in_range, in_range))
+
+
+@PROPERTY
+@given(operators, configs, st.floats(0.0, 10.0), st.floats(0.0, 10.0), area_variants)
+# an area offset a million times a small operator's cost
+@example(OperatorDescriptor(3, 1, 8, 16, 32, 8, 8), CFG, 0.33, 0.33, (1e6, AreaConstants()))
+def test_area_cannot_change_a_tiling(op, cfg, lambda_e, lambda_l, variant):
+    """No tiling changes the area, so neither `lambda_a` nor the area
+    constants change which tiling `batch_search` picks or how many fit; its
+    cost differs only in `area_mm2`."""
+    lambda_a, area_constants = variant
+    constants = CostConstants(area=area_constants)
+    try:
+        base = batch_search(op, cfg, weights=CostWeights(lambda_e, lambda_l, 0.0))
+    except NoFeasibleTiling:
+        with pytest.raises(NoFeasibleTiling):
+            batch_search(op, cfg, constants, CostWeights(lambda_e, lambda_l, lambda_a))
+        return
+    varied = batch_search(op, cfg, constants, CostWeights(lambda_e, lambda_l, lambda_a))
+    assert (varied.best, varied.n_feasible) == (base.best, base.n_feasible)
+    assert varied.cost.area_mm2 == area(cfg, area_constants)
+    assert varied.cost == replace(base.cost, area_mm2=varied.cost.area_mm2)
+
+
 # Wider than `operators`: grid and flat evaluation are cheap at any size.
 wide_operators = st.builds(
     OperatorDescriptor,
@@ -230,7 +258,7 @@ tiny_operators = st.builds(
 def test_grid_evaluation_matches_flat(op, cfg):
     """Every output on the open grid, broadcast and raveled, equals the
     output on the flat candidate arrays bit for bit."""
-    t_oc, t_ic, t_oh, t_ow = grid = _candidate_grid(op)
+    t_oc, t_ic, t_oh, t_ow = grid = _grid_table(op).grid
     flat = _candidate_arrays(op)[:4]
     shape = np.broadcast_shapes(*(g.shape for g in grid))
     on_grid = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh)
