@@ -9,7 +9,6 @@ from .accel import (
     ParamSpace,
     all_loop_orders,
     area,
-    iter_configs,
     load_accel,
     load_space,
     space_cardinality,
@@ -20,12 +19,10 @@ from .costmodel import (
     CostConstants,
     CostWeights,
     TilingPlan,
-    compute_cycles,
     dram_traffic,
     edap,
     estimate_cost,
     hw_cost,
-    tile_fits_caches,
     tile_size_choices,
 )
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
@@ -45,14 +42,12 @@ from .joint import (
     SupernetLayer,
     SupernetState,
     co_search_step,
-    lagrangian,
     load_supernet_state,
     select_subnet,
 )
 from .quant import (
     MemoryEstimate,
     QuantSpec,
-    bn_forward,
     channel_importance,
     gumbel_softmax,
     memory_model,
@@ -72,11 +67,8 @@ from .tiling import (
 from .workload import (
     OperatorDescriptor,
     SubnetDescriptor,
-    decode_operator,
     encode_operator,
     load_subnet,
-    operator_footprints,
-    subnet_to_doc,
 )
 
 __version__ = "0.1.0"

@@ -210,27 +210,12 @@ class ParamSpace:
             self.loop_orders[c6],
         )
 
-    def choices_of(self, cfg: AcceleratorConfig) -> tuple[int, ...]:
-        """Per-field candidate indices of `cfg`; the inverse of `config_at`."""
-        choices = []
-        for values, value in zip(self.candidates, cfg.as_tuple()):
-            if value not in values:
-                raise ValueError(f"config value {value!r} is not in the search space")
-            choices.append(values.index(value))
-        return tuple(choices)
-
 
 def space_cardinality(space: ParamSpace) -> int:
     total = 1
     for n in space.field_sizes:
         total *= n
     return total
-
-
-def iter_configs(space: ParamSpace):
-    """Yield every config exactly once, nested in field order (last field fastest)."""
-    for values in itertools.product(*space.candidates):
-        yield AcceleratorConfig(*values)
 
 
 def load_accel(text: str) -> AcceleratorConfig:

@@ -23,7 +23,7 @@ from dataclasses import astuple, fields
 from operator import attrgetter
 from pathlib import Path
 
-from .accel import AreaConstants, ParamSpace, area, load_accel, load_space
+from .accel import AreaConstants, ParamSpace, area, check_range, load_accel, load_space
 from .costmodel import (
     BREAKDOWN_FIELDS,
     COST_MODEL_VERSION,
@@ -200,6 +200,17 @@ def _from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
+def _budget(args) -> SearchBudget:
+    """The search budget of the flags.  A negative rate would climb the cost
+    (`--learning-rate`), make the annealer greedy (`--initial-temperature`)
+    or flip the temperature's sign every step (`--cooling-rate`), so each
+    lies in [0, 2**64]; the library leaves their signs free."""
+    budget = _from_args(SearchBudget, args)
+    check_range(budget, dict.fromkeys(("initial_temperature", "cooling_rate", "learning_rate"),
+                                      0.0), "the budget's rate range")
+    return budget
+
+
 def _cost_operators(args, subnet, cfg, constants, weights, cache):
     """Plans, per-operator costs and the subnet total of `cost`."""
     if args.tiling:
@@ -298,7 +309,7 @@ def cmd_search_accel(args) -> int:
     space = load_space(_read_text(args.space)) if args.space else ParamSpace()
     constants = _constants(args)
     weights = _from_args(CostWeights, args)
-    budget = _from_args(SearchBudget, args)
+    budget = _budget(args)
 
     report_extra = {}
     if args.engine == "exhaustive":
@@ -338,7 +349,7 @@ def cmd_search_co(args) -> int:
     space = load_space(_read_text(args.space)) if args.space else ParamSpace()
     weights = JointWeights(lam=args.lam, cost_weights=_from_args(CostWeights, args))
     report = co_search_step(state, space, _constants(args), weights,
-                            _from_args(SearchBudget, args), engine=args.engine)
+                            _budget(args), engine=args.engine)
     _write_report(report.to_dict(), args.out)
     return 0
 
@@ -347,8 +358,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constants", help="cost-constants JSON document")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for compatibility and ignored: evaluation runs on one "
-                             "thread, so results never depend on N")
+                        help="at least 1; accepted for compatibility and ignored: evaluation "
+                             "runs on one thread, so results never depend on N")
     parser.add_argument("--seed", type=int, default=SearchBudget.seed)
     _add_fields(parser, CostWeights)
 
@@ -408,6 +419,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)
     except NoFeasibleTiling as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,8 +47,8 @@ cycles = max(compute_cycles, ceil(dram_bytes / dram_bw)), and
 latency_ms * f_clk_mhz * 1000 == cycles exactly.
 
 Every function here takes its tile sizes in one of three shapes: numpy
-int64 scalars (one tiling; the K=1 views `estimate_cost`, `compute_cycles`,
-`dram_traffic`, `tile_fits_caches`), flat arrays (one tiling per element),
+int64 scalars (one tiling; the K=1 views `estimate_cost` and
+`dram_traffic`), flat arrays (one tiling per element),
 or an open grid (`np.meshgrid(..., sparse=True)`: one axis per tile
 dimension).  On a grid each term is computed on the axes it depends on, so
 tile counts, halos and per-operand tile bytes are computed on at most 11
@@ -520,29 +520,16 @@ def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic,
     )
 
 
-def _tile_scalars(tile: TilingPlan) -> list[np.int64]:
-    """One tiling as int64 scalars, the K=1 input of the batched functions."""
-    return [np.int64(v) for v in tile.as_tuple()]
-
-
-def tile_fits_caches(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> bool:
-    return bool(fits_caches_mask(op, cfg, *_tile_scalars(tile)))
-
-
 def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.generic]:
-    """`evaluate_tilings` at one tiling, which must fit the caches."""
-    t = _tile_scalars(tile)
+    """`evaluate_tilings` at one tiling, as int64 scalars; the tiling must
+    fit the caches."""
+    t = [np.int64(v) for v in tile.as_tuple()]
     if not fits_caches_mask(op, cfg, *t):
         raise NoFeasibleTiling(
             f"tiling {tile.as_tuple()} does not fit caches "
             f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
         )
     return evaluate_tilings(op, cfg, *t, constants=constants)
-
-
-def compute_cycles(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> int:
-    """Compute-side cycle count for one tiling (no DRAM term)."""
-    return int(_evaluate_one(op, cfg, tile)["compute_cycles"])
 
 
 def dram_traffic(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> TrafficBreakdown:

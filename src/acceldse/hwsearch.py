@@ -486,7 +486,6 @@ def anneal_search(
     constants: CostConstants | None = None,
     budget: SearchBudget | None = None,
     weights: CostWeights | None = None,
-    initial: AcceleratorConfig | None = None,
 ) -> AccelSearchResult:
     """Simulated annealing: resample one uniformly chosen field per step,
     accept improvements always and regressions with probability exp(-d/T).
@@ -500,10 +499,7 @@ def anneal_search(
     score = make_subnet_scorer(subnet, space, constants, weights)
     sizes = space.field_sizes
 
-    if initial is not None:
-        choices = space.choices_of(initial)
-    else:
-        choices = tuple(int(rng.integers(n)) for n in sizes)
+    choices = tuple(int(rng.integers(n)) for n in sizes)
     current_cost, current_feasible = score(choices)
     best_choices = choices if current_feasible else None
     best_cost = current_cost if current_feasible else None
@@ -537,8 +533,8 @@ def exhaustive_search(
     """Global argmin over the whole space; refuses spaces above
     `_EXHAUSTIVE_GUARD` configs.
 
-    Ties break toward the lexicographically first config in the space's
-    candidate ordering (the order of `iter_configs`).
+    Ties break toward the first config in the space's candidate ordering:
+    field order, last field fastest.
     """
     cardinality = space_cardinality(space)
     if cardinality > _EXHAUSTIVE_GUARD:

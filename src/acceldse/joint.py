@@ -1,10 +1,10 @@
 """Joint objective composition: subnet selection from architecture parameters,
-hardware search, mapping, and the Lagrangian combination of task loss with
-hardware cost.
+hardware search and mapping.
 
 Gradient training of the architecture parameters themselves lives outside this
-package; `co_search_step` produces the hardware-cost term and a fully
-serializable report that an external trainer can bind into back-propagation.
+package; `co_search_step` produces the hardware-cost term `e_hw` and the
+multiplier `lambda` in a fully serializable report, and an external trainer
+adds `lambda * e_hw` to its task loss inside its own autograd graph.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ def select_subnet(state: SupernetState) -> SubnetDescriptor:
     return SubnetDescriptor(tuple(operators))
 
 
-def lagrangian(ce_loss: float, e_hw: float, weights: JointWeights) -> float:
-    """Task loss plus lambda times the hardware cost."""
-    return ce_loss + weights.lam * e_hw
-
-
 @dataclass(frozen=True)
 class CoSearchReport:
     subnet: SubnetDescriptor
@@ -144,14 +139,13 @@ def co_search_step(
     weights: JointWeights | None = None,
     budget: SearchBudget | None = None,
     engine: str = "anneal",
-    warm_start: AcceleratorConfig | None = None,
 ) -> CoSearchReport:
     """One hardware-side step: decode the current subnet, search an accelerator
     config, map every operator, and return the scalar hardware cost.
 
-    `warm_start` seeds the annealer at a previous config instead of a random
-    one; the other engines ignore it (the exhaustive engine by definition,
-    the generator because the net itself carries state across calls).
+    The winner is mapped a second time because the engines' scorer memoizes
+    each config's cost, not its mapping; the report needs the winner's
+    per-operator tilings and costs.
     """
     t0 = time.perf_counter()
     constants = constants or CostConstants()
@@ -162,9 +156,7 @@ def co_search_step(
     if engine == "exhaustive":
         found = exhaustive_search(subnet, space, constants, weights.cost_weights)
     elif engine == "anneal":
-        found = anneal_search(
-            subnet, space, constants, budget, weights.cost_weights, initial=warm_start
-        )
+        found = anneal_search(subnet, space, constants, budget, weights.cost_weights)
     elif engine == "generator":
         net = GeneratorNet(space, seed=budget.seed)
         found = train_generator(net, subnet, space, constants, budget, weights.cost_weights)

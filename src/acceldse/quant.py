@@ -1,10 +1,9 @@
 """Numerical kernels for channel-sparse mixed-precision quantization.
 
 Everything here is a pure function over numpy arrays: quantize/dequantize,
-temperature-controlled softmax relaxations, mixed-precision mixtures, the
-batch-norm transform, channel-importance scoring with top-K selection, the
-channel-sparse assembly, and the analytical activation-memory model used to
-size search-time storage.
+temperature-controlled softmax relaxations, mixed-precision mixtures,
+channel-importance scoring with top-K selection, the channel-sparse assembly,
+and the analytical activation-memory model used to size search-time storage.
 
 Quantization grid: asymmetric, min-shifted.  For a tensor V and bitwidth b the
 scale is s = (max(V) - min(V)) / (2^b - 1), values are shifted by min(V),
@@ -111,30 +110,6 @@ def gumbel_softmax(
     shifted = shifted - shifted.max()
     expv = np.exp(shifted)
     return expv / expv.sum()
-
-
-def bn_forward(z_in, mu_b, sigma_sq_b, gamma, beta_shift, eps: float = 1e-5):
-    """Batch-norm transform: normalize by batch statistics, then scale and shift.
-
-    Per-channel parameter vectors broadcast over (batch, channel, height,
-    width) inputs; scalars apply uniformly.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    z = np.asarray(z_in, dtype=np.float64)
-
-    def expand(p):
-        p = np.asarray(p, dtype=np.float64)
-        if z.ndim == 4 and p.ndim == 1:
-            return p.reshape(1, -1, 1, 1)
-        return p
-
-    mu = expand(mu_b)
-    var = expand(sigma_sq_b)
-    if np.any(var < 0):
-        raise ValueError("sigma_sq_b must be non-negative")
-    z_hat = (z - mu) / np.sqrt(var + eps)
-    return expand(gamma) * z_hat + expand(beta_shift)
 
 
 def channel_importance(alpha_prev, gamma_matrix) -> np.ndarray:

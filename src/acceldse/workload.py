@@ -1,4 +1,4 @@
-"""Workload data model: square convolution operators, subnets, and derived footprints.
+"""Workload data model: square convolution operators and subnets.
 
 An operator is described by seven integers (kernel, stride, out_rows,
 in_channels, out_channels, act_bits, wgt_bits).  Feature maps and kernels are
@@ -29,10 +29,9 @@ this one, in `acceldse.costmodel.CostConstants`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .documents import construct, parse_json, read_int, read_list, read_object
 
@@ -110,20 +109,6 @@ class SubnetDescriptor:
 _SUBNET_KEYS = tuple(f.name for f in fields(SubnetDescriptor))
 
 
-@dataclass(frozen=True)
-class OperatorFootprints:
-    """Derived size quantities consumed by the cost model.
-
-    Byte counts are exact (bit counts divided by 8) and therefore floats:
-    2-bit tensors with odd element counts occupy fractional bytes.
-    """
-
-    macs: int
-    act_in_bytes: float
-    wgt_bytes: float
-    out_elems: int
-
-
 _PAD = 2**TILE_POW2_MAX - 1  # a dimension's padded extent is at most d + _PAD
 
 
@@ -143,22 +128,6 @@ def _in_range(op: OperatorDescriptor) -> bool:
 encode_operator = attrgetter(*OPERATOR_FIELDS)
 
 
-def decode_operator(vector: Sequence[int]) -> OperatorDescriptor:
-    """Inverse of :func:`encode_operator`."""
-    if len(vector) != len(OPERATOR_FIELDS):
-        raise ValueError(f"operator vector must have 7 entries, got {len(vector)}")
-    return OperatorDescriptor(*(int(v) for v in vector))
-
-
-def operator_footprints(op: OperatorDescriptor) -> OperatorFootprints:
-    """MAC count, operand byte sizes, and output element count for one operator."""
-    macs = op.kernel**2 * op.in_channels * op.out_channels * op.out_rows**2
-    act_in_bytes = op.in_channels * op.in_rows**2 * op.act_bits / 8.0
-    wgt_bytes = op.kernel**2 * op.in_channels * op.out_channels * op.wgt_bits / 8.0
-    out_elems = op.out_channels * op.out_rows**2
-    return OperatorFootprints(macs, act_in_bytes, wgt_bytes, out_elems)
-
-
 def operator_from_dict(raw, where: str) -> OperatorDescriptor:
     """Read one operator object of a workload or supernet document."""
     read_object(raw, where, OPERATOR_FIELDS, OPERATOR_FIELDS)
@@ -173,11 +142,6 @@ def load_subnet(text: str) -> SubnetDescriptor:
     ops = read_list(doc["operators"], where, "operators")
     return construct(SubnetDescriptor, where,
                      tuple(operator_from_dict(raw, f"operator {i}") for i, raw in enumerate(ops)))
-
-
-def subnet_to_doc(subnet: SubnetDescriptor) -> str:
-    """Serialize a subnet back to the workload document format."""
-    return json.dumps(subnet.to_dict(), indent=2)
 
 
 def with_bits(op: OperatorDescriptor, act_bits: int, wgt_bits: int) -> OperatorDescriptor:

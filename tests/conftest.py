@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from acceldse import (
@@ -6,7 +7,9 @@ from acceldse import (
     OperatorDescriptor,
     ParamSpace,
     SubnetDescriptor,
+    TilingPlan,
 )
+from acceldse.costmodel import evaluate_tilings
 
 # The 5x5/stride-1/7x7/552-channel reference operator and its 16x16-PE,
 # 3x384KB accelerator (weight stationary, output-channel loop innermost),
@@ -28,6 +31,18 @@ def ref_op():
 @pytest.fixture
 def ref_cfg():
     return REF_CFG
+
+
+def compute_cycles(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPlan) -> int:
+    """Compute-side cycle count of one tiling (no DRAM term): the
+    `compute_cycles` row of `evaluate_tilings` at that tiling."""
+    return int(evaluate_tilings(op, cfg, *map(np.int64, tile.as_tuple()))["compute_cycles"])
+
+
+def choices_of(space: ParamSpace, cfg: AcceleratorConfig) -> tuple[int, ...]:
+    """Per-field candidate indices of `cfg` in `space`; the inverse of
+    `ParamSpace.config_at`."""
+    return tuple(values.index(value) for values, value in zip(space.candidates, cfg.as_tuple()))
 
 
 def make_synthetic_subnet_22() -> SubnetDescriptor:

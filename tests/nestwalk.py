@@ -3,11 +3,14 @@
 Simulates the five tile loops iteration by iteration with one resident tile
 per operand (the stationary operand instead keeps every tile it ever loaded)
 and counts fetch events.  Byte math is restated literally from the operand
-tile definitions so the closed-form re-fetch rule is checked end to end.
+tile definitions so the closed-form re-fetch rule is checked end to end, and
+carried out in Python integers: byte counts are exact `Fraction`s, so they
+equal the cost model's float bytes only if those are exact.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from acceldse import Dataflow
 
@@ -44,12 +47,12 @@ def walk_traffic(op, cfg, tile):
 
     halo_w = tile.t_ow * op.stride + op.kernel - 1
     halo_h = tile.t_oh * op.stride + op.kernel - 1
-    act_tile_bytes = tile.t_ic * halo_w * halo_h * op.act_bits / 8.0
-    wgt_tile_bytes = tile.t_ic * tile.t_oc * op.kernel**2 * op.wgt_bits / 8.0
-    out_tile_bytes = float(4 * tile.t_oc * tile.t_ow * tile.t_oh)
+    act_tile_bytes = Fraction(tile.t_ic * halo_w * halo_h * op.act_bits, 8)
+    wgt_tile_bytes = Fraction(tile.t_ic * tile.t_oc * op.kernel**2 * op.wgt_bits, 8)
+    out_tile_bytes = 4 * tile.t_oc * tile.t_ow * tile.t_oh
 
     out_unique = len(seen["out"])
-    bytes_out = out_unique * out_tile_bytes + 2.0 * out_tile_bytes * (events["out"] - out_unique)
+    bytes_out = out_unique * out_tile_bytes + 2 * out_tile_bytes * (events["out"] - out_unique)
     return {
         "events": events,
         "unique": {k: len(v) for k, v in seen.items()},

@@ -422,11 +422,20 @@ def test_area_constant_outside_range_exit_2(tmp_path, capsys):
     ("anneal", "--initial-temperature", "nan", "initial_temperature"),  # silently greedy
     ("anneal", "--cooling-rate", "inf", "cooling_rate"),  # every step accepted
     ("generator", "--tau-decay", "inf", "tau_decay"),  # an infinite temperature
+    ("generator", "--learning-rate", "-0.1", "learning_rate"),  # climbs the cost
+    ("anneal", "--initial-temperature", "-1", "initial_temperature"),  # silently greedy
+    ("anneal", "--cooling-rate", "-0.98", "cooling_rate"),  # the sign flips every step
+    ("co", "--learning-rate", "-0.1", "learning_rate"),
+    ("cost", "--threads", "-7", "threads"),
+    ("anneal", "--threads", "0", "threads"),
 ], ids=["lambda-e-nan", "lambda-e-inf", "lambda-a-huge", "lambda-nan",
-        "temperature-nan", "cooling-inf", "tau-decay-inf"])
+        "temperature-nan", "cooling-inf", "tau-decay-inf", "learning-rate-negative",
+        "temperature-negative", "cooling-negative", "co-learning-rate-negative",
+        "threads-negative", "threads-zero"])
 def test_flag_outside_range_exit_2(tmp_path, capsys, command, flag, value, field):
-    """A weight outside [0, 2**64] or a non-finite budget number is a usage
-    error, never a number in the report."""
+    """A weight outside [0, 2**64], a non-finite budget number, a negative
+    rate or a thread count below 1 is a usage error, never a number in the
+    report."""
     workload, space = small_docs(tmp_path)
     state = tmp_path / "state.json"
     state.write_text(json.dumps(SUPERNET))

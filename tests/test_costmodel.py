@@ -14,16 +14,14 @@ from acceldse import (
     NoFeasibleTiling,
     OperatorDescriptor,
     TilingPlan,
-    compute_cycles,
     dram_traffic,
     edap,
     encode_operator,
     estimate_cost,
     hw_cost,
-    operator_footprints,
-    tile_fits_caches,
 )
-from acceldse.costmodel import TILE_SIZES, _grid_table, evaluate_tilings
+from acceldse.costmodel import TILE_SIZES, _grid_table, evaluate_tilings, fits_caches_mask
+from conftest import compute_cycles
 
 CFG64 = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
 
@@ -84,9 +82,11 @@ def test_single_tile_traffic_matches_tensor_bytes():
     cfg = AcceleratorConfig(16, 16, 528, 528, 528, Dataflow.WS, "BIOHW")
     tile = TilingPlan(t_oc=32, t_ic=16, t_ow=8, t_oh=8)
     tr = dram_traffic(op, cfg, tile)
-    fp = operator_footprints(op)
     assert tr.act_fetches == tr.wgt_fetches == tr.out_fetches == 1
-    assert tr.total_bytes == fp.act_in_bytes + fp.wgt_bytes + 4 * fp.out_elems
+    act_in_bytes = 16 * 10**2  # in_channels * in_rows**2 at 8 bits
+    wgt_bytes = 3**2 * 16 * 32  # kernel**2 * in_channels * out_channels at 8 bits
+    out_bytes = 4 * 32 * 8**2  # 4-byte partial sums, out_channels * out_rows**2
+    assert tr.total_bytes == act_in_bytes + wgt_bytes + out_bytes
 
 
 def test_traffic_toy_weight_reuse():
@@ -158,7 +158,7 @@ def test_infeasible_tile_raises():
     op = OperatorDescriptor(5, 1, 7, 552, 552, 8, 8)
     cfg = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
     whole = TilingPlan(1024, 1024, 8, 8)
-    assert not tile_fits_caches(op, cfg, whole)
+    assert not fits_caches_mask(op, cfg, *map(np.int64, whole.as_tuple()))
     with pytest.raises(NoFeasibleTiling):
         estimate_cost(op, cfg, whole)
 

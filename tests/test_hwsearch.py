@@ -19,6 +19,7 @@ from acceldse import (
 )
 from acceldse import hwsearch
 from acceldse.hwsearch import ENGINES, make_subnet_scorer, train_policy
+from conftest import choices_of
 
 TOY_SPACE = ParamSpace(
     pe_x=(16,), pe_y=(16,), act_cache_kb=(64,), wgt_cache_kb=(64,), out_cache_kb=(64,),
@@ -208,7 +209,7 @@ def test_scorer_penalty_without_feasible_cost():
     op = OperatorDescriptor(724, 1, 1, 1, 1, 8, 8)
     scorer = make_subnet_scorer(SubnetDescriptor((op,)), SINGLETON_SPACE, None, None)
     cfg = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
-    cost, feasible = scorer(SINGLETON_SPACE.choices_of(cfg))
+    cost, feasible = scorer(choices_of(SINGLETON_SPACE, cfg))
     assert not feasible
     assert cost == 1e9
 
@@ -263,4 +264,4 @@ def test_config_built_once_per_distinct_choices(engine, small_subnet, reduced_sp
     else:
         assert len(scored) > len(distinct)  # revisits, which must build no config
     assert len(built) == len(distinct) + 1
-    assert built == distinct + [space.choices_of(result.config)]
+    assert built == distinct + [choices_of(space, result.config)]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from acceldse import (
-    bn_forward,
     channel_importance,
     gumbel_softmax,
     memory_model,
@@ -100,28 +99,6 @@ def test_gumbel_standard_sampling_frequencies():
     for _ in range(n):
         hits[np.argmax(gumbel_softmax(logits, tau=1.0, rng=rng))] += 1
     assert np.all(np.abs(hits / n - target) < 0.02)
-
-
-def test_bn_forward_cases():
-    assert bn_forward(np.array([2.0]), 1.0, 4.0, 3.0, 1.0, eps=1e-12) == pytest.approx(2.5)
-    z = np.full(4, 7.0)
-    assert np.allclose(bn_forward(z, 7.0, 2.0, 5.0, -1.5), -1.5)
-    eps = 1e-5
-    z = np.linspace(-2, 2, 9)
-    assert np.allclose(bn_forward(z, 0.0, 1.0 - eps, 1.0, 0.0, eps=eps), z)
-
-
-def test_bn_forward_per_channel_broadcast():
-    rng = np.random.default_rng(2)
-    z = rng.normal(size=(2, 3, 4, 4))
-    gamma = np.array([1.0, 2.0, 3.0])
-    beta = np.array([0.0, -1.0, 1.0])
-    mu = np.zeros(3)
-    var = np.ones(3)
-    out = bn_forward(z, mu, var, gamma, beta, eps=1e-12)
-    for c in range(3):
-        expected = gamma[c] * z[:, c] / np.sqrt(1 + 1e-12) + beta[c]
-        assert np.allclose(out[:, c], expected)
 
 
 def test_channel_importance():

@@ -18,7 +18,6 @@ from acceldse import (
     all_loop_orders,
     area,
     batch_search,
-    compute_cycles,
     dram_traffic,
     enumerate_tilings,
     estimate_cost,
@@ -30,6 +29,7 @@ from acceldse import (
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
 from acceldse.costmodel import CostWeights, _grid_table, evaluate_tilings, fits_caches_mask
 from acceldse.tiling import _candidate_arrays
+from conftest import compute_cycles
 
 CFG = AcceleratorConfig(16, 16, 128, 128, 128, Dataflow.WS, "BIHWO")
 
