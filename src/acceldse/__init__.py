@@ -34,6 +34,7 @@ from .hwsearch import (
     exhaustive_search,
     featurize_subnet,
     generator_forward,
+    search_accel,
     train_generator,
 )
 from .joint import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, fields
@@ -40,14 +41,12 @@ from .costmodel import (
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
+    ENGINE_TABLE,
     ENGINES,
-    GeneratorNet,
     SearchBudget,
-    anneal_search,
-    exhaustive_search,
     featurize_subnet,
     generator_forward,
-    train_generator,
+    search_accel,
 )
 from .joint import JointWeights, co_search_step, load_supernet_state
 from .tiling import map_subnet
@@ -61,6 +60,8 @@ _RECORD_KEYS = ("key", "cost")
 _BREAKDOWN_READERS = tuple((name, read_int if name == "cycles" else read_number)
                            for name in BREAKDOWN_FIELDS)
 _key_constants = attrgetter(*_CONSTANT_FIELDS, *(f"area.{name}" for name in _AREA_FIELDS))
+# The flags only some engines read: the budget's but `--seed`, which every report echoes.
+_ENGINE_FLAGS = (*(f.name for f in fields(SearchBudget) if f.name != "seed"), "gumbel_mode")
 
 
 def _read_text(path: str) -> str:
@@ -196,18 +197,26 @@ def _constants(args) -> CostConstants:
 
 
 def _from_args(cls, args):
-    """An instance of the dataclass `cls` from the flags `_add_fields` made for it."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    """An instance of the dataclass `cls` from the given flags `_add_fields` made for it."""
+    return cls(**{f.name: vars(args)[f.name] for f in fields(cls) if f.name in vars(args)})
 
 
 def _budget(args) -> SearchBudget:
     """The search budget of the flags.  A negative rate would climb the cost
     (`--learning-rate`), make the annealer greedy (`--initial-temperature`)
     or flip the temperature's sign every step (`--cooling-rate`), so each
-    lies in [0, 2**64]; the library leaves their signs free."""
+    lies in [0, 2**64]; the library leaves their signs free.  Then a given
+    flag the engine does not read (`ENGINE_TABLE`) is a usage error."""
     budget = _from_args(SearchBudget, args)
     check_range(budget, dict.fromkeys(("initial_temperature", "cooling_rate", "learning_rate"),
                                       0.0), "the budget's rate range")
+    _, reads = ENGINE_TABLE[args.engine]
+    if "gumbel_tau" in reads:  # `--gumbel-mode` is the noise of the head sample drawn at it
+        reads += ("gumbel_mode",)
+    unread = ["--" + name.replace("_", "-") for name in vars(args)
+              if name in _ENGINE_FLAGS and name not in reads]
+    if unread:
+        raise ValueError(f"engine {args.engine} does not read {', '.join(unread)}")
     return budget
 
 
@@ -310,25 +319,14 @@ def cmd_search_accel(args) -> int:
     constants = _constants(args)
     weights = _from_args(CostWeights, args)
     budget = _budget(args)
-
-    report_extra = {}
-    if args.engine == "exhaustive":
-        result = exhaustive_search(subnet, space, constants, weights)
-    elif args.engine == "anneal":
-        result = anneal_search(subnet, space, constants, budget, weights)
-    else:
-        net = GeneratorNet(space, seed=budget.seed)
-        result = train_generator(net, subnet, space, constants, budget, weights)
-        feats = featurize_subnet(subnet)
+    try:  # the generator's head-sample temperature, checked before training
         final_tau = max(budget.gumbel_tau * budget.tau_decay**budget.steps, 1e-3)
-        probs, _ = generator_forward(net, feats, final_tau, noise_seed=budget.seed,
-                                     mode=args.gumbel_mode)
-        report_extra = {
-            "gradient_estimator": "score-function with EMA baseline",
-            "gumbel_mode": args.gumbel_mode,
-            "head_sample": [[float(p) for p in head] for head in probs],
-        }
+    except OverflowError:
+        final_tau = math.inf
+    if final_tau == math.inf:
+        raise ValueError("gumbel_tau * tau_decay**steps, the head sample's temperature, overflows")
 
+    result = search_accel(args.engine, subnet, space, constants, budget, weights)
     report = {
         "engine": result.engine,
         "seed": args.seed,
@@ -336,8 +334,16 @@ def cmd_search_accel(args) -> int:
         "hw_cost": result.cost,
         "evaluations": result.evaluations,
         "wall_time_s": result.wall_time_s,
-        **report_extra,
     }
+    if result.net is not None:
+        gumbel_mode = vars(args).get("gumbel_mode", "standard")
+        probs, _ = generator_forward(result.net, featurize_subnet(subnet), final_tau,
+                                     noise_seed=budget.seed, mode=gumbel_mode)
+        report |= {
+            "gradient_estimator": "score-function with EMA baseline",
+            "gumbel_mode": gumbel_mode,
+            "head_sample": [[float(p) for p in head] for head in probs],
+        }
     _write_report(report, args.out)
     if args.out and result.trace:
         _write_trace_csv(args.out, result)
@@ -365,11 +371,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fields(parser: argparse.ArgumentParser, cls, exclude=()) -> None:
-    """A ``--field-name`` flag per field of the dataclass `cls`, typed and defaulted by it."""
+    """A ``--field-name`` flag per field of the dataclass `cls`, typed by it, absent unless given."""
     for f in fields(cls):
         if f.name not in exclude:
             parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                                default=f.default)
+                                default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     accel.add_argument("--workload", required=True)
     accel.add_argument("--space", help="parameter-space JSON (default: full space)")
     accel.add_argument("--engine", required=True, choices=ENGINES)
-    accel.add_argument("--gumbel-mode", choices=("paper", "standard"), default="standard",
-                       help="relaxation noise of the generator's reported head sample")
+    accel.add_argument("--gumbel-mode", choices=("paper", "standard"), default=argparse.SUPPRESS,
+                       help="relaxation noise of the generator's head sample (default: standard)")
     _add_common(accel)
     _add_fields(accel, SearchBudget, exclude=("seed",))
     accel.set_defaults(func=cmd_search_accel)

@@ -18,6 +18,7 @@ Sampled configs with no feasible tiling score a penalty of ten times the worst
 feasible cost seen so far, which keeps gradients finite; searches only ever
 return configs that admit a feasible mapping.  Every engine returns through
 `_result`, which raises `NoFeasibleTiling` when it found no such config.
+`search_accel` runs an engine by name, the one way the commands run one.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ from .workload import SubnetDescriptor, encode_operator
 # The largest space `exhaustive_search` enumerates.
 _EXHAUSTIVE_GUARD = 1_000_000
 
-# Each engine, with what it names when no config it scored was feasible.
-_NO_FEASIBLE = {
-    "anneal": "no visited accelerator config",
-    "generator": "no sampled accelerator config",
-    "exhaustive": "no config in the space",
+# Each engine: what it names when no config it scored was feasible, and the
+# `SearchBudget` fields it reads.
+ENGINE_TABLE = {
+    "anneal": ("no visited accelerator config",
+               ("seed", "max_evaluations", "initial_temperature", "cooling_rate")),
+    "generator": ("no sampled accelerator config",
+                  ("seed", "max_evaluations", "steps", "samples_per_step", "learning_rate",
+                   "gumbel_tau", "tau_decay", "baseline_decay")),
+    "exhaustive": ("no config in the space", ()),
 }
-ENGINES = tuple(_NO_FEASIBLE)
+ENGINES = tuple(ENGINE_TABLE)
 
 # Feature scales: each operator field's maximum in `OPERATOR_FIELDS` order
 # (kernel, stride, out_rows, in_channels, out_channels, act_bits, wgt_bits),
@@ -116,16 +121,17 @@ class AccelSearchResult:
     wall_time_s: float
     trace: tuple = ()
     engine: str = ""
+    net: GeneratorNet | None = None  # the generator's trained net; None for the other engines
 
 
 def _result(engine: str, space: ParamSpace, best_choices, best_cost, evaluations: int,
-            t0: float, trace=()) -> AccelSearchResult:
+            t0: float, trace=(), net=None) -> AccelSearchResult:
     """The search result of `engine` for its best feasible choice tuple;
     `NoFeasibleTiling` if it found none (`best_choices` is None)."""
     if best_choices is None:
-        raise NoFeasibleTiling(f"{_NO_FEASIBLE[engine]} admits a feasible tiling")
+        raise NoFeasibleTiling(f"{ENGINE_TABLE[engine][0]} admits a feasible tiling")
     return AccelSearchResult(space.config_at(best_choices), best_cost, evaluations,
-                             time.perf_counter() - t0, tuple(trace), engine)
+                             time.perf_counter() - t0, tuple(trace), engine, net)
 
 
 class GeneratorNet:
@@ -477,7 +483,7 @@ def train_generator(
         choices, cost = fit.choices, final_cost
     else:
         choices, cost = fit.best_choices, fit.best_cost
-    return _result("generator", space, choices, cost, fit.evaluations, t0, fit.trace)
+    return _result("generator", space, choices, cost, fit.evaluations, t0, fit.trace, net)
 
 
 def anneal_search(
@@ -549,3 +555,17 @@ def exhaustive_search(
         if feasible and (best_cost is None or cost < best_cost):
             best_choices, best_cost = choices, cost
     return _result("exhaustive", space, best_choices, best_cost, cardinality, t0)
+
+
+def search_accel(engine: str, subnet: SubnetDescriptor, space: ParamSpace,
+                 constants: CostConstants | None, budget: SearchBudget,
+                 weights: CostWeights | None) -> AccelSearchResult:
+    """Run the engine named `engine`, one of `ENGINES`, with the budget fields it reads."""
+    if engine == "anneal":
+        return anneal_search(subnet, space, constants, budget, weights)
+    if engine == "generator":
+        net = GeneratorNet(space, seed=budget.seed)
+        return train_generator(net, subnet, space, constants, budget, weights)
+    if engine == "exhaustive":
+        return exhaustive_search(subnet, space, constants, weights)
+    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

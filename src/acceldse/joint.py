@@ -17,14 +17,7 @@ import numpy as np
 from .accel import AcceleratorConfig, ParamSpace, check_range
 from .costmodel import CostConstants, CostWeights, hw_cost
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
-from .hwsearch import (
-    ENGINES,
-    GeneratorNet,
-    SearchBudget,
-    anneal_search,
-    exhaustive_search,
-    train_generator,
-)
+from .hwsearch import SearchBudget, search_accel
 from .tiling import SubnetMapping, map_subnet
 from .workload import OperatorDescriptor, SubnetDescriptor, operator_from_dict, with_bits
 
@@ -152,17 +145,7 @@ def co_search_step(
     weights = weights or JointWeights()
     budget = budget or SearchBudget()
     subnet = select_subnet(state)
-
-    if engine == "exhaustive":
-        found = exhaustive_search(subnet, space, constants, weights.cost_weights)
-    elif engine == "anneal":
-        found = anneal_search(subnet, space, constants, budget, weights.cost_weights)
-    elif engine == "generator":
-        net = GeneratorNet(space, seed=budget.seed)
-        found = train_generator(net, subnet, space, constants, budget, weights.cost_weights)
-    else:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
+    found = search_accel(engine, subnet, space, constants, budget, weights.cost_weights)
     mapping = map_subnet(subnet, found.config, constants, weights.cost_weights)
     e_hw = hw_cost(mapping.total, weights.cost_weights)
     return CoSearchReport(

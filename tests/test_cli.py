@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search
 from acceldse.cli import CostCache, main
+from acceldse.hwsearch import ENGINE_TABLE, ENGINES, SearchBudget
 from conftest import make_reduced_space_24, make_small_subnet, make_synthetic_subnet_22
 
 REF_WORKLOAD = {"operators": [{
@@ -454,6 +457,78 @@ def test_flag_outside_range_exit_2(tmp_path, capsys, command, flag, value, field
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {field} must "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("exhaustive", ["--max-evaluations", "1"], "--max-evaluations"),
+    ("exhaustive", ["--gumbel-mode", "paper"], "--gumbel-mode"),
+    ("anneal", ["--steps", "100"], "--steps"),  # the default, given explicitly
+    ("anneal", ["--gumbel-tau", "2"], "--gumbel-tau"),
+    ("generator", ["--cooling-rate", "0.5"], "--cooling-rate"),
+    ("co-exhaustive", ["--initial-temperature", "2"], "--initial-temperature"),
+    ("co-anneal", ["--samples-per-step", "2"], "--samples-per-step"),
+    # the head sample's temperature 1e300 * 1e300**5 overflows
+    ("generator", ["--gumbel-tau", "1e300", "--tau-decay", "1e300", "--steps", "5"], "gumbel_tau"),
+], ids=["exhaustive-max-evaluations", "exhaustive-gumbel-mode", "anneal-steps-default",
+        "anneal-gumbel-tau", "generator-cooling-rate", "co-exhaustive-temperature",
+        "co-anneal-samples", "generator-head-tau-overflow"])
+def test_flag_the_engine_does_not_read_exit_2(tmp_path, capsys, command, flags, named):
+    """A budget flag the engine does not read, whatever its value, and a
+    head-sample temperature that overflows are usage errors, named on one
+    `error:` line before any search runs."""
+    workload, space = small_docs(tmp_path)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(SUPERNET))
+    accel = ["search", "accel", "--workload", workload, "--space", space, "--engine"]
+    co = ["search", "co", "--state", str(state), "--space", space, "--engine"]
+    argv = {
+        "exhaustive": [*accel, "exhaustive"],
+        "anneal": [*accel, "anneal", "--max-evaluations", "5"],
+        "generator": [*accel, "generator", "--steps", "2"],
+        "co-exhaustive": [*co, "exhaustive"],
+        "co-anneal": [*co, "anneal", "--max-evaluations", "5"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([*argv, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
+    assert not out.exists()
+
+
+def test_exhaustive_accepts_seed_and_threads(tmp_path):
+    """Every command takes `--seed` and `--threads`, the exhaustive search too."""
+    workload, space = small_docs(tmp_path)
+    out = tmp_path / "out.json"
+    assert main(["search", "accel", "--workload", workload, "--space", space, "--engine",
+                 "exhaustive", "--seed", "9", "--threads", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 9
+
+
+def test_readme_engine_table_matches_engine_table():
+    """README's table of the flags each engine reads and refuses is
+    `ENGINE_TABLE`'s, with `--gumbel-mode` read along with `--gumbel-tau`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| engine | flags it reads |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        engine, reads, refuses = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[engine.strip("`")] = [set(re.findall(r"`(--[a-z-]+)`", cell))
+                                   for cell in (reads, refuses)]
+    assert list(rows) == list(ENGINES)
+
+    def flag(name):
+        return "--" + name.replace("_", "-")
+
+    every = {flag(name) for name in (*(f.name for f in fields(SearchBudget)), "gumbel_mode")}
+    for engine, (reads, refuses) in rows.items():
+        _, fields_read = ENGINE_TABLE[engine]
+        expected = {flag(name) for name in fields_read}
+        if "gumbel_tau" in fields_read:
+            expected.add("--gumbel-mode")
+        assert reads == expected, engine
+        assert refuses == every - expected - {"--seed"}, engine
 
 
 def test_cache_key_includes_cost_model_version(docs, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from acceldse import (
     exhaustive_search,
     featurize_subnet,
     generator_forward,
+    search_accel,
     train_generator,
 )
 from acceldse import hwsearch
@@ -252,12 +253,9 @@ def test_config_built_once_per_distinct_choices(engine, small_subnet, reduced_sp
     monkeypatch.setattr(ParamSpace, "config_at", counting_config_at)
     monkeypatch.setattr(hwsearch, "make_subnet_scorer", recording_scorer)
     budget = SearchBudget(max_evaluations=200, seed=3, steps=40, samples_per_step=5)
-    if engine == "exhaustive":
-        result = exhaustive_search(small_subnet, space)
-    elif engine == "anneal":
-        result = anneal_search(small_subnet, space, budget=budget)
-    else:
-        result = train_generator(GeneratorNet(space, seed=3), small_subnet, space, budget=budget)
+    result = search_accel(engine, small_subnet, space, None, budget, None)
+    assert result.engine == engine
+    assert isinstance(result.net, GeneratorNet) if engine == "generator" else result.net is None
     distinct = list(dict.fromkeys(scored))
     if engine == "exhaustive":
         assert scored == distinct and len(distinct) == 24
