@@ -38,7 +38,15 @@ from .costmodel import (
     hw_cost,
     subnet_total,
 )
-from .documents import construct, parse_json, read_int, read_list, read_number, read_object
+from .documents import (
+    construct,
+    json_text,
+    parse_json,
+    read_int,
+    read_list,
+    read_number,
+    read_object,
+)
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
     ENGINE_TABLE,
@@ -69,6 +77,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidDocument(f"cannot write {path}: {exc}") from exc
 
 
 def load_constants(text: str) -> CostConstants:
@@ -117,15 +132,27 @@ class CostCache:
                       file=sys.stderr)
 
     @staticmethod
-    def key(op, cfg, tile, constants) -> str:
-        payload = {
-            "version": COST_MODEL_VERSION,
-            "op": encode_operator(op),
-            "cfg": cfg.as_tuple(),
-            "tile": tile.as_tuple(),
-            "constants": _key_constants(constants),
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    def keyer(cfg, constants):
+        """`key(op, tile)`, the memo key of (op, `cfg`, tile, `constants`): the
+        sha256 hex digest of ``json.dumps(payload, sort_keys=True)``, where
+        `payload` maps "version", "op", "cfg", "tile" and "constants" to
+        `COST_MODEL_VERSION`, `encode_operator(op)`, `cfg.as_tuple()`,
+        `tile.as_tuple()` and the constants' fields.  The sorted head up to
+        "op" is hashed once; each key copies that hash and feeds it the rest.
+        The op and tile fields are plain ints, as every reader and search
+        gives them, so ``%d`` writes them as ``json`` does."""
+        head = json.dumps({"cfg": cfg.as_tuple(), "constants": _key_constants(constants)},
+                          sort_keys=True)
+        prefix = hashlib.sha256((head[:-1] + ', "op": ').encode())
+        rest = ('[%d, %d, %d, %d, %d, %d, %d], "tile": [%d, %d, %d, %d], "version": '
+                + json.dumps(COST_MODEL_VERSION) + "}")
+
+        def key(op, tile) -> str:
+            digest = prefix.copy()
+            digest.update((rest % (*encode_operator(op), *tile.as_tuple())).encode())
+            return digest.hexdigest()
+
+        return key
 
     def get(self, key: str) -> CostBreakdown | None:
         return self._memo.get(key)
@@ -151,11 +178,6 @@ class CostCache:
             self._fd = None
 
 
-def _json_text(doc) -> str:
-    """A report document as text: indented by two spaces, newline-terminated."""
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _csv_text(header, rows) -> str:
     """A header line and one line per row, comma-separated, floats by `repr`."""
     lines = [",".join(header)]
@@ -165,9 +187,9 @@ def _csv_text(header, rows) -> str:
 
 def _write_report(doc, out: str | None) -> None:
     """Write the report document to the file `out`, or to stdout."""
-    text = _json_text(doc)
+    text = json_text(doc)
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
     else:
         print(text, end="")
 
@@ -222,11 +244,12 @@ def _budget(args) -> SearchBudget:
 
 def _cost_operators(args, subnet, cfg, constants, weights, cache):
     """Plans, per-operator costs and the subnet total of `cost`."""
+    memo_key = CostCache.keyer(cfg, constants) if cache else None
     if args.tiling:
         plans = _load_tilings(_read_text(args.tiling), len(subnet))
         costs = []
         for i, (op, plan) in enumerate(zip(subnet, plans)):
-            key = CostCache.key(op, cfg, plan, constants) if cache else None
+            key = memo_key(op, plan) if cache else None
             cost = cache.get(key) if cache else None
             if cost is None:
                 try:
@@ -242,7 +265,7 @@ def _cost_operators(args, subnet, cfg, constants, weights, cache):
     costs = [r.cost for r in mapping.per_op]
     if cache:
         for op, plan, cost in zip(subnet, plans, costs):
-            cache.put(CostCache.key(op, cfg, plan, constants), cost)
+            cache.put(memo_key(op, plan), cost)
     return plans, costs, mapping.total
 
 
@@ -290,7 +313,7 @@ def cmd_search_tile(args) -> int:
         ("op_index", *TILING_FIELDS, *cost_columns),
         ((i, *r.best.as_tuple(), *(getattr(r.cost, name) for name in cost_columns))
          for i, r in enumerate(mapping.per_op)))
-    summary = _json_text({
+    summary = json_text({
         "aggregate_cost": mapping.total.to_dict(),
         "n_candidates": [r.n_candidates for r in mapping.per_op],
         "n_feasible": [r.n_feasible for r in mapping.per_op],
@@ -298,7 +321,7 @@ def cmd_search_tile(args) -> int:
         "total_wall_time_s": mapping.wall_time_s,
     })
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write_text(args.out, csv_text)
         print(summary, end="")
     else:
         print(csv_text, end="")
@@ -310,7 +333,7 @@ def _write_trace_csv(out: str, result) -> None:
     """One CSV row per trace row (`TraceRow` or `AnnealRow`), headed by its field names."""
     path = Path(out).with_suffix("").as_posix() + ".trace.csv"
     header = [f.name for f in fields(result.trace[0])]
-    Path(path).write_text(_csv_text(header, map(astuple, result.trace)))
+    _write_text(path, _csv_text(header, map(astuple, result.trace)))
 
 
 def cmd_search_accel(args) -> int:

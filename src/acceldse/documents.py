@@ -1,4 +1,5 @@
-"""The reading rules shared by every JSON document acceldse accepts.
+"""The reading rules shared by every JSON document acceldse accepts, and the
+one writer of every report it emits.
 
 Each reader returns the value it checked or raises `InvalidDocument` naming
 where the bad value sits: `where` names the enclosing value ("operator 3"),
@@ -6,14 +7,100 @@ where the bad value sits: `where` names the enclosing value ("operator 3"),
 field takes a JSON integer only (not ``true``, ``16.7`` or ``"16"``), a number
 must be finite, and an object holds no key outside its known fields.
 Messages are built only when a check fails, so large documents read fast.
+
+`json_text` writes a report exactly as ``json.dumps(doc, indent=2)`` plus a
+newline, without the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import InvalidDocument
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(doc) -> str:
+    """`doc` as ``json.dumps(doc, indent=2) + "\\n"``: two-space indent, ASCII
+    escapes, floats by `float.__repr__` (NaN and infinities as ``json``
+    writes them) and tuples as lists.  Object keys must be strings; a key or
+    value of any other type raises `TypeError`."""
+    text = _scalar(doc)
+    if text is not None:
+        return _NON_FINITE.get(text, text) + "\n"
+    chunks: list[str] = []
+    _write(doc, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _scalar(value) -> str | None:
+    """The text of a leaf, a float's before `_NON_FINITE` maps it, or None
+    for a container; leaves are tested in `json.dumps`'s order (`bool` is an
+    `int`).  `float.__repr__`, not `repr`: numpy 2 reprs its scalars as
+    ``np.float64(...)``."""
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# The text of a leaf of exactly one of these types; any other value goes through `_scalar`.
+_LEAF_TEXT = {float: float.__repr__, int: int.__repr__, str: _string}
+
+
+def _write(value, chunks: list, newline: str) -> None:
+    """Append the text of the container `value`, whose closing bracket sits
+    after `newline` (a newline and the indent of its level).  Each leaf
+    goes out in one chunk with the separator and key before it, so
+    `chunks` grows no longer than `json.dumps`'s own chunk list.  Only a
+    float's text can be a key of `_NON_FINITE`: every other leaf's is
+    quoted, a number or a literal."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        sep, closer = "{" + inner, newline + "}"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = sep + _string(key) + ": "
+            text = _LEAF_TEXT.get(type(item), _scalar)(item)
+            if text is None:
+                chunks.append(head)
+                _write(item, chunks, inner)
+            else:
+                chunks.append(head + _NON_FINITE.get(text, text))
+            sep = "," + inner
+    else:
+        if not value:
+            chunks.append("[]")
+            return
+        sep, closer = "[" + inner, newline + "]"
+        for item in value:
+            text = _LEAF_TEXT.get(type(item), _scalar)(item)
+            if text is None:
+                chunks.append(sep)
+                _write(item, chunks, inner)
+            else:
+                chunks.append(sep + _NON_FINITE.get(text, text))
+            sep = "," + inner
+    chunks.append(closer)
 
 
 def _at(where: str, key) -> str:

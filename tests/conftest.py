@@ -45,6 +45,24 @@ def choices_of(space: ParamSpace, cfg: AcceleratorConfig) -> tuple[int, ...]:
     return tuple(values.index(value) for values, value in zip(space.candidates, cfg.as_tuple()))
 
 
+def largest_in_range(shape: dict, field: str, cap: int) -> int:
+    """The largest value of `field`, at most `cap`, that keeps the operator
+    of `shape` in the operator range; 0 if none does.  The range's bounds
+    grow with every field, so the values in range form a prefix."""
+    def in_range(value):
+        try:
+            OperatorDescriptor(**{**shape, field: value})
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if in_range(mid) else (lo, mid - 1)
+    return lo
+
+
 def make_synthetic_subnet_22() -> SubnetDescriptor:
     """A mobile-CNN-scale 22-operator subnet with channel sizes up to 552."""
     rows = [56, 56, 28, 28, 28, 28, 14, 14, 14, 14, 14,

@@ -374,6 +374,38 @@ def test_cache_unusable_path_exit_2(docs, tmp_path, capsys, memo):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("command", ["cost", "search tile", "search accel", "search co",
+                                     "search accel trace"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    """An output that cannot be written (report, CSV or trace CSV) ends in
+    exit 2 and one error line, not a traceback."""
+    paths = {}
+    for name, doc in VALID_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = {
+        "cost": ["cost", "--workload", paths["workload"], "--accel", paths["accel"]],
+        "search tile": ["search", "tile", "--workload", paths["workload"],
+                        "--accel", paths["accel"]],
+        "search accel": ["search", "accel", "--workload", paths["workload"],
+                         "--space", paths["space"], "--engine", "exhaustive"],
+        "search co": ["search", "co", "--state", paths["supernet"], "--space", paths["space"],
+                      "--engine", "exhaustive"],
+        "search accel trace": ["search", "accel", "--workload", paths["workload"],
+                               "--space", paths["space"], "--engine", "anneal",
+                               "--max-evaluations", "2"],
+    }[command]
+    out = tmp_path / "missing-dir" / "out.json"
+    unwritable = out
+    if command == "search accel trace":  # the report is written, its trace CSV is not
+        out = tmp_path / "out.json"
+        unwritable = tmp_path / "out.trace.csv"
+        unwritable.mkdir()
+    assert main([*map(str, argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {unwritable}: "), err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, value", [("out_rows", 2147483648), ("stride", 2**62)])
 def test_operator_outside_range_exit_2(tmp_path, capsys, field, value):

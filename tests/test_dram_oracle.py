@@ -13,6 +13,7 @@ from acceldse import (
     dram_traffic,
 )
 from acceldse.costmodel import TILE_SIZES, _grid_table, evaluate_tilings
+from conftest import largest_in_range
 from nestwalk import walk_traffic
 
 CACHES = dict(act_cache_kb=528, wgt_cache_kb=528, out_cache_kb=528)
@@ -71,24 +72,6 @@ EDGE_CAPS = {"kernel": 2**40, "stride": 2**40, "out_rows": 4096, "in_channels": 
              "out_channels": 4096}
 
 
-def largest_in_range(shape: dict, field: str) -> int:
-    """The largest value of `field`, at most its cap, that keeps the operator
-    of `shape` in the operator range; 0 if none does.  The range's bounds
-    grow with every field, so the values in range form a prefix."""
-    def in_range(value):
-        try:
-            OperatorDescriptor(**{**shape, field: value})
-        except ValueError:
-            return False
-        return True
-
-    lo, hi = 0, EDGE_CAPS[field]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if in_range(mid) else (lo, mid - 1)
-    return lo
-
-
 @st.composite
 def range_edge_cases(draw):
     """An operator with one field at the largest value the operator range
@@ -99,7 +82,7 @@ def range_edge_cases(draw):
              "act_bits": draw(st.sampled_from([2, 4, 8])),
              "wgt_bits": draw(st.sampled_from([2, 4, 8]))}
     field = draw(st.sampled_from(sorted(EDGE_CAPS)))
-    shape[field] = largest_in_range(shape, field)
+    shape[field] = largest_in_range(shape, field, EDGE_CAPS[field])
     assume(shape[field] > 0)
     op = OperatorDescriptor(**shape)
     tile = TilingPlan(*(draw(st.sampled_from([t for t in TILE_SIZES if -(-extent // t) <= 4]))
@@ -111,7 +94,7 @@ def range_edge_cases(draw):
 
 
 def at_largest(field: str, **shape) -> OperatorDescriptor:
-    return OperatorDescriptor(**shape, **{field: largest_in_range(shape, field)})
+    return OperatorDescriptor(**shape, **{field: largest_in_range(shape, field, EDGE_CAPS[field])})
 
 
 # The two corners the walk can reach.  Activations re-fetched once per

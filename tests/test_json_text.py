@@ -1,0 +1,57 @@
+"""The report writer against `json.dumps(doc, indent=2)`."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acceldse.documents import json_text
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, math.nan,
+               math.inf, -math.inf, 0.1, 1e16, 1e-7]
+EDGE_STRINGS = ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "€", "\U0001f600", "\ud800",
+                "\udfff", "a\ud83d", "</script>"]
+
+floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+leaves = (
+    floats
+    | floats.map(np.float64)
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(EDGE_STRINGS)
+    | st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+)
+documents = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.sampled_from(EDGE_STRINGS) | st.text(max_size=4),
+                                     inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(documents)
+def test_writes_what_json_dumps_writes(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [[], {}, (), {"a": []}, [{}, ()], {"a": {"b": {}}}],
+                         ids=repr)
+def test_empty_containers(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [np.int64(1), {1, 2}, {1: "a"}, [0, {"a": (np.int64(2),)}],
+                                 {"a": {None: 1}}, [np.bool_(True)], {"a": b"x"}],
+                         ids=["int64", "set", "int-key", "nested-int64", "none-key", "bool_",
+                              "bytes"])
+def test_unwritable_values_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
