@@ -12,7 +12,6 @@ from .accel import (
     load_accel,
     load_space,
     space_cardinality,
-    validate_config,
 )
 from .costmodel import (
     CostBreakdown,

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .documents import construct, parse_json, read_int, read_list, read_object
-from .errors import InvalidDocument
+from .documents import construct, parse_json, read_list, read_object
 
 PE_MIN = 3
 PE_MAX = 64
@@ -42,16 +41,41 @@ def all_loop_orders() -> tuple[str, ...]:
     return tuple(sorted("".join(p) for p in itertools.permutations(LOOP_DIMS)))
 
 
-def is_loop_order(order: str) -> bool:
-    return isinstance(order, str) and len(order) == 5 and sorted(order) == sorted(LOOP_DIMS)
+# Each config field's domain, in field order: the exact types a value may
+# have, its legal values (the full space's candidates) and the words an
+# error uses for them.  `AcceleratorConfig` checks one value of each field
+# against it, `ParamSpace` every candidate.
+_PE_DOMAIN = ((int,), frozenset(PE_CHOICES), f"an integer in [{PE_MIN}, {PE_MAX}]")
+_CACHE_DOMAIN = ((int,), frozenset(CACHE_CHOICES_KB),
+                 f"a multiple of {CACHE_STEP_KB} in [{CACHE_CHOICES_KB[0]}, "
+                 f"{CACHE_CHOICES_KB[-1]}] KB")
+_DOMAIN = {
+    "pe_x": _PE_DOMAIN,
+    "pe_y": _PE_DOMAIN,
+    "act_cache_kb": _CACHE_DOMAIN,
+    "wgt_cache_kb": _CACHE_DOMAIN,
+    "out_cache_kb": _CACHE_DOMAIN,
+    "dataflow": ((str, Dataflow), frozenset(Dataflow),
+                 f"a valid dataflow ({', '.join(Dataflow.__members__)})"),
+    "loop_order": ((str,), frozenset(all_loop_orders()), f"a permutation of {LOOP_DIMS}"),
+}
+
+
+def _in_domain(name: str, value) -> bool:
+    """Whether `value` is legal for the config field `name`.  The type is
+    tested first, so a value of any other type, an unhashable one included,
+    is refused without a lookup."""
+    types, legal, _ = _DOMAIN[name]
+    return type(value) in types and value in legal
 
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
     """One point in the accelerator parameter space.
 
-    Construction performs only type checks; domain invariants are reported by
-    :func:`validate_config` so that out-of-range candidates can be examined.
+    Construction checks every field against its domain, the full space's
+    candidates for that field, and raises one `ValueError` naming each bad
+    field; a string dataflow is converted to its `Dataflow`.
     """
 
     pe_x: int
@@ -63,6 +87,10 @@ class AcceleratorConfig:
     loop_order: str
 
     def __post_init__(self):
+        bad = [name for name in _DOMAIN if not _in_domain(name, getattr(self, name))]
+        if bad:
+            raise ValueError("invalid accelerator config: " + "; ".join(
+                f"{name} {getattr(self, name)!r} is not {_DOMAIN[name][2]}" for name in bad))
         object.__setattr__(self, "dataflow", Dataflow(self.dataflow))
 
     def as_tuple(self) -> tuple:
@@ -83,28 +111,6 @@ class AcceleratorConfig:
 
 # Document keys, in field order; equal to the field names.
 _CONFIG_KEYS = tuple(f.name for f in fields(AcceleratorConfig))
-_INT_KEYS = tuple(f.name for f in fields(AcceleratorConfig) if f.type == "int")
-
-
-def validate_config(cfg: AcceleratorConfig) -> list[str]:
-    """Return every violated invariant; an empty list means the config is legal."""
-    violations = []
-    for name in ("pe_x", "pe_y"):
-        value = getattr(cfg, name)
-        if value < PE_MIN:
-            violations.append(f"{name} below {PE_MIN}")
-        elif value > PE_MAX:
-            violations.append(f"{name} above {PE_MAX}")
-    for name in ("act_cache_kb", "wgt_cache_kb", "out_cache_kb"):
-        value = getattr(cfg, name)
-        if value not in CACHE_CHOICES_KB:
-            if value < CACHE_CHOICES_KB[0] or value > CACHE_CHOICES_KB[-1]:
-                violations.append(f"{name} outside {CACHE_CHOICES_KB[0]}..{CACHE_CHOICES_KB[-1]} KB")
-            else:
-                violations.append(f"{name} not on {CACHE_STEP_KB}KB grid")
-    if not is_loop_order(cfg.loop_order):
-        violations.append(f"loop_order {cfg.loop_order!r} is not a permutation of {LOOP_DIMS}")
-    return violations
 
 
 def check_range(obj, lows: dict, what: str) -> None:
@@ -150,8 +156,8 @@ class ParamSpace:
     """Candidate lists for each of the seven config fields.
 
     Restricting any list to a subset yields a reduced space for oracle
-    experiments; every candidate must satisfy the config invariants, and no
-    list may hold a candidate twice.
+    experiments; every candidate must lie in its config field's domain (one
+    of the full space's candidates), and no list may hold a candidate twice.
     """
 
     pe_x: tuple[int, ...] = PE_CHOICES
@@ -165,28 +171,19 @@ class ParamSpace:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
-        object.__setattr__(self, "dataflows", tuple(Dataflow(d) for d in self.dataflows))
-        for f, values in zip(fields(self), self.candidates):
+        for f, name, values in zip(fields(self), _DOMAIN, self.candidates):
             if not values:
                 raise ValueError(f"{f.name} candidate list is empty")
+            # the domain goes before the repeat test, which hashes every candidate
+            bad = [v for v in values if not _in_domain(name, v)]
+            if bad:
+                raise ValueError(f"{f.name} candidates {bad} are not each {_DOMAIN[name][2]}")
             if len(set(values)) < len(values):
                 # a repeated candidate would be scored twice by the exhaustive
                 # engine and drawn twice as often by the sampling engines
                 repeated = [getattr(v, "value", v) for i, v in enumerate(values) if v in values[:i]]
                 raise ValueError(f"{f.name} candidates repeat: {repeated}")
-        bad = [v for v in self.pe_x + self.pe_y if v < PE_MIN or v > PE_MAX]
-        if bad:
-            raise ValueError(f"PE candidates outside [{PE_MIN}, {PE_MAX}]: {bad}")
-        bad = [
-            v
-            for v in self.act_cache_kb + self.wgt_cache_kb + self.out_cache_kb
-            if v not in CACHE_CHOICES_KB
-        ]
-        if bad:
-            raise ValueError(f"cache candidates outside the legal grid: {bad}")
-        bad = [o for o in self.loop_orders if not is_loop_order(o)]
-        if bad:
-            raise ValueError(f"invalid loop orders: {bad}")
+        object.__setattr__(self, "dataflows", tuple(map(Dataflow, self.dataflows)))
 
     @property
     def candidates(self) -> tuple[tuple, ...]:
@@ -222,22 +219,13 @@ def load_accel(text: str) -> AcceleratorConfig:
     """Parse an accelerator config document (JSON object with the 7 fields)."""
     where = "accelerator document"
     doc = read_object(parse_json(text, where), where, _CONFIG_KEYS, _CONFIG_KEYS)
-    values = [read_int(doc[key], where, key) if key in _INT_KEYS else doc[key]
-              for key in _CONFIG_KEYS]
-    cfg = construct(AcceleratorConfig, where, *values)
-    violations = validate_config(cfg)
-    if violations:
-        raise InvalidDocument("invalid accelerator config: " + "; ".join(violations))
-    return cfg
+    return construct(AcceleratorConfig, where, **doc)
 
 
 def load_space(text: str) -> ParamSpace:
     """Parse a parameter-space document; omitted fields default to the full space."""
     where = "space document"
     doc = read_object(parse_json(text, where), where, _CONFIG_KEYS)
-    kwargs = {
-        f.name: read_list(doc[key], where, key, read_int if key in _INT_KEYS else None)
-        for key, f in zip(_CONFIG_KEYS, fields(ParamSpace))
-        if key in doc
-    }
+    kwargs = {f.name: read_list(doc[key], where, key)
+              for key, f in zip(_CONFIG_KEYS, fields(ParamSpace)) if key in doc}
     return construct(ParamSpace, where, **kwargs)

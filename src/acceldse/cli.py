@@ -15,6 +15,7 @@ only output that may differ between runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -84,6 +85,25 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise InvalidDocument(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise now the error `_write_text(path, ...)` would raise after a long
+    run, where the cause can be seen without creating the file: a missing
+    or non-directory parent, a directory at `path`, or no write permission.
+    None, standing for stdout, is always writable."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise InvalidDocument(f"cannot write {path}: {OSError(code, os.strerror(code), str(target))}")
 
 
 def load_constants(text: str) -> CostConstants:
@@ -274,6 +294,7 @@ def cmd_cost(args) -> int:
     cfg = load_accel(_read_text(args.accel))
     constants = _constants(args)
     weights = _from_args(CostWeights, args)
+    _check_writable(args.out)
     cache = CostCache(args.cache) if args.cache else None
     try:
         plans, costs, total = _cost_operators(args, subnet, cfg, constants, weights, cache)
@@ -306,7 +327,9 @@ def cmd_cost(args) -> int:
 def cmd_search_tile(args) -> int:
     subnet = load_subnet(_read_text(args.workload))
     cfg = load_accel(_read_text(args.accel))
-    mapping = map_subnet(subnet, cfg, _constants(args), _from_args(CostWeights, args))
+    constants, weights = _constants(args), _from_args(CostWeights, args)
+    _check_writable(args.out)
+    mapping = map_subnet(subnet, cfg, constants, weights)
 
     cost_columns = ("energy_mj", "latency_ms", "dram_bytes")
     csv_text = _csv_text(
@@ -329,11 +352,15 @@ def cmd_search_tile(args) -> int:
     return 0
 
 
+def _trace_path(out: str) -> str:
+    """The trace CSV written beside the report `out`."""
+    return Path(out).with_suffix("").as_posix() + ".trace.csv"
+
+
 def _write_trace_csv(out: str, result) -> None:
     """One CSV row per trace row (`TraceRow` or `AnnealRow`), headed by its field names."""
-    path = Path(out).with_suffix("").as_posix() + ".trace.csv"
     header = [f.name for f in fields(result.trace[0])]
-    _write_text(path, _csv_text(header, map(astuple, result.trace)))
+    _write_text(_trace_path(out), _csv_text(header, map(astuple, result.trace)))
 
 
 def cmd_search_accel(args) -> int:
@@ -348,6 +375,9 @@ def cmd_search_accel(args) -> int:
         final_tau = math.inf
     if final_tau == math.inf:
         raise ValueError("gumbel_tau * tau_decay**steps, the head sample's temperature, overflows")
+    _check_writable(args.out)
+    if args.out and args.engine != "exhaustive":  # the engines that write a trace
+        _check_writable(_trace_path(args.out))
 
     result = search_accel(args.engine, subnet, space, constants, budget, weights)
     report = {
@@ -377,8 +407,9 @@ def cmd_search_co(args) -> int:
     state = load_supernet_state(_read_text(args.state))
     space = load_space(_read_text(args.space)) if args.space else ParamSpace()
     weights = JointWeights(lam=args.lam, cost_weights=_from_args(CostWeights, args))
-    report = co_search_step(state, space, _constants(args), weights,
-                            _budget(args), engine=args.engine)
+    constants, budget = _constants(args), _budget(args)
+    _check_writable(args.out)
+    report = co_search_step(state, space, constants, weights, budget, engine=args.engine)
     _write_report(report.to_dict(), args.out)
     return 0
 

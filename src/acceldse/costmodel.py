@@ -107,7 +107,9 @@ STATIONARY_OPERAND = {
 
 @dataclass(frozen=True)
 class TilingPlan:
-    """Tile sizes along output-channel / input-channel / output-column / output-row."""
+    """Tile sizes along output-channel / input-channel / output-column / output-row,
+    each a plain `int` power of two in `TILE_SIZES` (not a `bool`, float or
+    numpy integer, which would write differently into documents and memo keys)."""
 
     t_oc: int
     t_ic: int
@@ -117,7 +119,7 @@ class TilingPlan:
     def __post_init__(self):
         for name in ("t_oc", "t_ic", "t_ow", "t_oh"):
             value = getattr(self, name)
-            if value not in TILE_SIZES:
+            if type(value) is not int or value not in TILE_SIZES:
                 raise ValueError(
                     f"{name} must be a power of two in [1, {TILE_SIZES[-1]}], got {value!r}"
                 )

@@ -15,6 +15,7 @@ no tiling changes.  Results aggregate from operators to subnets in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -54,14 +55,15 @@ class SubnetMapping:
 
 def _candidate_arrays(op: OperatorDescriptor):
     """All raw tile-size candidates, the operator's open grid (`_grid_table`)
-    raveled, lexicographic ascending on (t_oc, t_ic, t_oh, t_ow)."""
+    raveled, lexicographic ascending on (t_oc, t_ic, t_oh, t_ow); returned in
+    `TilingPlan` field order."""
     t_oc, t_ic, t_oh, t_ow = (g.ravel() for g in np.broadcast_arrays(*_grid_table(op).grid))
-    return t_oc, t_ic, t_ow, t_oh, t_oc.size
+    return t_oc, t_ic, t_ow, t_oh
 
 
 def enumerate_tilings(op: OperatorDescriptor, cfg: AcceleratorConfig) -> list[TilingPlan]:
     """Feasible tilings in deterministic (t_oc, t_ic, t_oh, t_ow) ascending order."""
-    t_oc, t_ic, t_ow, t_oh, _ = _candidate_arrays(op)
+    t_oc, t_ic, t_ow, t_oh = _candidate_arrays(op)
     mask = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
     return [
         TilingPlan(int(a), int(b), int(c), int(d))
@@ -125,7 +127,7 @@ def oracle_search(
     sequential, no batching, no pruning."""
     t0 = time.perf_counter()
     constants = constants or CostConstants()
-    _, _, _, _, n_candidates = _candidate_arrays(op)
+    n_candidates = math.prod(g.size for g in _grid_table(op).grid)  # the open grid's size
     plans = enumerate_tilings(op, cfg)
     if not plans:
         raise _no_fit(op, cfg)

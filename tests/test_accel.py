@@ -1,5 +1,7 @@
 import json
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,9 @@ from acceldse import (
     load_accel,
     load_space,
     space_cardinality,
-    validate_config,
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
+from conftest import PROPERTY, REF_CFG
 
 # Every legal candidate of each config field, in field order.
 FULL_CANDIDATES = (PE_CHOICES, PE_CHOICES, CACHE_CHOICES_KB, CACHE_CHOICES_KB,
@@ -52,16 +54,63 @@ def test_singleton_and_reduced_cardinality(reduced_space_24):
 
 
 def test_validate_reference_op(ref_cfg):
-    assert validate_config(ref_cfg) == []
+    assert AcceleratorConfig(*ref_cfg.as_tuple()) == ref_cfg
 
 
 def test_validate_violations():
-    cfg = AcceleratorConfig(2, 16, 384, 384, 384, Dataflow.WS, "BIOHW")
-    assert "pe_x below 3" in validate_config(cfg)
-    cfg = AcceleratorConfig(16, 16, 70, 384, 384, Dataflow.WS, "BIOHW")
-    assert any("not on 16KB grid" in v for v in validate_config(cfg))
-    cfg = AcceleratorConfig(16, 16, 384, 384, 384, Dataflow.WS, "BBOHW")
-    assert any("loop_order" in v for v in validate_config(cfg))
+    with pytest.raises(ValueError, match=r"^invalid accelerator config: pe_x 2 is not an "
+                                         r"integer in \[3, 64\]$"):
+        AcceleratorConfig(2, 16, 384, 384, 384, Dataflow.WS, "BIOHW")
+    with pytest.raises(ValueError, match=r"act_cache_kb 70 is not a multiple of 16"):
+        AcceleratorConfig(16, 16, 70, 384, 384, Dataflow.WS, "BIOHW")
+    with pytest.raises(ValueError, match="loop_order 'BBOHW' is not a permutation of BIOHW"):
+        AcceleratorConfig(16, 16, 384, 384, 384, Dataflow.WS, "BBOHW")
+    # one error lists every bad field, in field order
+    with pytest.raises(ValueError, match=r"^invalid accelerator config: pe_x 0 .*; "
+                                         r"loop_order 'XXXXX' .*$"):
+        AcceleratorConfig(0, 16, 64, 64, 64, "WS", "XXXXX")
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(AcceleratorConfig))
+SPACE_FIELDS = tuple(f.name for f in fields(ParamSpace))
+
+
+def off_domain(full):
+    """Values the field whose legal values are `full` refuses: for integer
+    fields, integers off the grid or out of range, bools, and floats and
+    numpy integers equal to a legal value; for the string fields, strings
+    that are no legal value, non-strings and lists."""
+    legal = st.sampled_from(full)
+    if type(full[0]) is int:
+        return st.one_of(st.integers(-600, 600).filter(lambda v: v not in full),
+                         st.integers().filter(lambda v: v not in full),
+                         st.booleans(), legal.map(float), legal.map(np.int64))
+    values = [getattr(v, "value", v) for v in full]
+    return st.one_of(st.text("BIOHWSX", max_size=6).filter(lambda v: v not in values),
+                     st.none(), st.integers(), legal.map(str.encode), legal.map(list))
+
+
+def test_every_full_space_candidate_constructs():
+    assert ParamSpace(*FULL_CANDIDATES).candidates == ParamSpace().candidates
+    for name, full in zip(CONFIG_FIELDS, FULL_CANDIDATES):
+        for value in full:
+            assert getattr(replace(REF_CFG, **{name: value}), name) == value
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.data())
+def test_off_domain_values_refused_by_both_constructors(data):
+    """A value outside a field's domain is refused by `AcceleratorConfig` and
+    as a `ParamSpace` candidate, beside a legal one, with a `ValueError`
+    naming the field; the type is checked before any lookup, so an
+    unhashable value is refused the same way."""
+    index = data.draw(st.integers(0, len(CONFIG_FIELDS) - 1))
+    name, full = CONFIG_FIELDS[index], FULL_CANDIDATES[index]
+    value = data.draw(off_domain(full))
+    with pytest.raises(ValueError, match=f"^invalid accelerator config: {name} "):
+        replace(REF_CFG, **{name: value})
+    with pytest.raises(ValueError, match=f"^{SPACE_FIELDS[index]} candidates .* are not each "):
+        ParamSpace(**{SPACE_FIELDS[index]: (data.draw(st.sampled_from(full)), value)})
 
 
 def test_area_fixed_term_only(ref_cfg):
@@ -80,11 +129,11 @@ def test_area_monotone_in_pe_count(ref_cfg):
 
 
 def test_param_space_rejects_illegal_candidates():
-    with pytest.raises(ValueError, match="PE candidates"):
+    with pytest.raises(ValueError, match=r"pe_x candidates \[2\] are not each an integer"):
         ParamSpace(pe_x=(2, 8))
-    with pytest.raises(ValueError, match="cache candidates"):
+    with pytest.raises(ValueError, match=r"act_cache_kb candidates \[70\] are not each"):
         ParamSpace(act_cache_kb=(70,))
-    with pytest.raises(ValueError, match="invalid loop orders"):
+    with pytest.raises(ValueError, match=r"loop_orders candidates \['BBOHW'\] are not each"):
         ParamSpace(loop_orders=("BBOHW",))
     with pytest.raises(ValueError, match="empty"):
         ParamSpace(pe_x=())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search
+from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search, hwsearch, joint
 from acceldse.cli import CostCache, main
 from acceldse.hwsearch import ENGINE_TABLE, ENGINES, SearchBudget
 from conftest import make_reduced_space_24, make_small_subnet, make_synthetic_subnet_22
@@ -376,9 +376,17 @@ def test_cache_unusable_path_exit_2(docs, tmp_path, capsys, memo):
 
 @pytest.mark.parametrize("command", ["cost", "search tile", "search accel", "search co",
                                      "search accel trace"])
-def test_unwritable_out_exit_2(tmp_path, capsys, command):
+def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command):
     """An output that cannot be written (report, CSV or trace CSV) ends in
-    exit 2 and one error line, not a traceback."""
+    exit 2 and one error line, not a traceback, before any search runs and
+    without creating a file."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a search ran before its output path was checked")
+
+    for module, name in [(cli, "map_subnet"), (hwsearch, "map_subnet"), (joint, "map_subnet"),
+                         (hwsearch, "anneal_search"), (hwsearch, "train_generator"),
+                         (hwsearch, "exhaustive_search")]:
+        monkeypatch.setattr(module, name, ran)
     paths = {}
     for name, doc in VALID_DOCS.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -404,6 +412,7 @@ def test_unwritable_out_exit_2(tmp_path, capsys, command):
     assert main([*map(str, argv), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {unwritable}: "), err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -650,13 +659,17 @@ def replaced(doc, path, value):
     ("space", ("pe_x",), [8.5]),
     ("space", ("pe_x",), [8, 8]),
     ("space", ("dataflow",), ["WS", "WS"]),
+    ("space", ("pe_x",), [2]),
+    ("space", ("loop_order",), ["BBOHW"]),
     ("accel", ("pe_x",), 16.7),
+    ("accel", ("loop_order",), ["B", "I", "O", "H", "W"]),
     ("constants", ("f_clk_mhz",), float("nan")),
     # a shape too large for the cost model's int64 arrays
     ("workload", ("operators", 0, "kernel"), 2**40),
 ], ids=["bit-choices-int", "layers-int", "beta-row-length", "bit-choice-float",
         "tilings-int", "t-oc-null", "t-oc-float", "pe-x-string", "pe-x-float-candidate",
-        "pe-x-repeated", "dataflow-repeated", "pe-x-float", "clock-nan", "kernel-too-large"])
+        "pe-x-repeated", "dataflow-repeated", "pe-x-off-domain", "loop-order-off-domain",
+        "pe-x-float", "loop-order-list", "clock-nan", "kernel-too-large"])
 def test_malformed_document_exit_2(tmp_path, capsys, kind, path, value):
     text = json.dumps(replaced(VALID_DOCS[kind], path, value))
     assert run_with_document(tmp_path, kind, text) == 2

@@ -34,6 +34,14 @@ def test_tiling_plan_validation():
         TilingPlan(1, 1, 1, 2048)
 
 
+@pytest.mark.parametrize("size", [True, 4.0, np.int64(4)])
+def test_tiling_plan_takes_plain_ints_only(size):
+    """A bool, float or numpy integer equal to a legal size is refused: each
+    would write differently into a tiling document or a memo key."""
+    with pytest.raises(ValueError, match="t_oc must be a power of two"):
+        TilingPlan(size, 1, 1, 1)
+
+
 def test_cycles_hand_trace():
     op = OperatorDescriptor(1, 1, 1, 16, 16, 8, 8)
     tile = TilingPlan(t_oc=16, t_ic=16, t_ow=1, t_oh=1)

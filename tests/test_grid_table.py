@@ -19,10 +19,8 @@ from acceldse import (
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
 from acceldse.costmodel import _grid_table, evaluate_tilings, fits_caches_mask
+from conftest import PROPERTY
 from nestwalk import walk_traffic
-
-# Derandomized, so every run draws the same examples.
-PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
 configs = st.builds(
     AcceleratorConfig,
