@@ -7,12 +7,14 @@ and the analytical activation-memory model used to size search-time storage.
 
 Quantization grid: asymmetric, min-shifted.  For a tensor V and bitwidth b the
 scale is s = (max(V) - min(V)) / (2^b - 1), values are shifted by min(V),
-divided by s, clipped to [0, 2^b - 1], rounded half-to-even, and mapped back.
-The rounding mode is stated explicitly because example values depend on it.
+divided by s, clipped to [0, 2^b - 1], rounded half-to-even, and mapped back;
+the top code maps to max(V) exactly.  The rounding mode is stated explicitly
+because example values depend on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,30 +34,56 @@ class QuantSpec:
     offset: float  # zero-point in real units: min(V)
 
 
+# Every code 0..2^b - 1 is an exact float64 up to 53 bits.
+MAX_BITS = 53
+# A non-constant tensor's scale must be a normal float64: a subnormal or zero
+# scale loses the grid, and zero is the constant-tensor sentinel.
+MIN_SCALE = 2.0**-1022
+
+
 def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
     """Quantize-dequantize a tensor at the given bitwidth.
 
-    Returns the dequantized array (same shape, float64) and the QuantSpec.
-    Constant tensors come back unchanged with a zero-scale sentinel.
+    Returns the dequantized array (same shape, float64, never a view of the
+    input) and the QuantSpec.  Constant tensors come back unchanged with a
+    zero-scale sentinel.  ``bits`` is an int (not a bool) in [1, 53]; a
+    non-constant tensor needs a finite ``max - min`` and a scale of at least
+    2^-1022.
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    if (isinstance(bits, bool) or not isinstance(bits, (int, np.integer))
+            or not 1 <= bits <= MAX_BITS):
+        raise ValueError(f"bits must be an int in [1, {MAX_BITS}], got {bits!r}")
+    bits = int(bits)
     v = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("tensor contains non-finite entries")
+    # min and max propagate NaN, and an infinity is one of them
     lo = float(v.min())
     hi = float(v.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("tensor contains non-finite entries")
     qmax = 2**bits - 1
     if hi == lo:
         return v.copy(), QuantSpec(bits=bits, scale=0.0, qmin=0, qmax=qmax, offset=lo)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"value range [{lo!r}, {hi!r}] overflows float64")
     scale = (hi - lo) / qmax
-    q = np.rint(np.clip((v - lo) / scale, 0, qmax))
-    out = q * scale + lo
+    if scale < MIN_SCALE:
+        raise ValueError(f"value range [{lo!r}, {hi!r}] at {bits} bits gives scale {scale!r}, "
+                         f"below 2^-1022")
+    # One buffer, the same float operations in the same order as
+    # rint(clip((v - lo) / scale, 0, qmax)) * scale + lo.
+    q = np.subtract(v, lo)
+    q /= scale
+    np.maximum(q, 0, out=q)
+    np.minimum(q, qmax, out=q)
+    np.rint(q, out=q)
+    top = q == qmax
+    q *= scale
+    q += lo
     # Pin the top code exactly to max(V): qmax * ((hi-lo)/qmax) is off by an
     # ulp in general, and a drifting range would break exact idempotence by
     # changing the scale derived on re-quantization.
-    out[q == qmax] = hi
-    return out, QuantSpec(bits=bits, scale=scale, qmin=0, qmax=qmax, offset=lo)
+    np.copyto(q, hi, where=top)
+    return q, QuantSpec(bits=bits, scale=scale, qmin=0, qmax=qmax, offset=lo)
 
 
 def mix_precision(
@@ -63,16 +91,22 @@ def mix_precision(
     betas,
     bit_choices=DEFAULT_BIT_CHOICES,
 ) -> np.ndarray:
-    """Convex mixture of the tensor quantized at each candidate bitwidth."""
+    """Convex mixture of the tensor quantized at each candidate bitwidth.
+
+    Weights are applied in ``bit_choices`` order and summed from zero."""
     betas = np.asarray(betas, dtype=np.float64)
     if betas.shape != (len(bit_choices),):
         raise ValueError(
             f"betas must have one weight per bit choice {tuple(bit_choices)}, got shape {betas.shape}"
         )
+    if not np.all(np.isfinite(betas)):
+        raise ValueError(f"betas must be finite, got {betas.tolist()}")
     v = np.asarray(values, dtype=np.float64)
     mixed = np.zeros_like(v)
     for weight, bits in zip(betas, bit_choices):
-        mixed = mixed + weight * quantize(v, bits)[0]
+        q = quantize(v, bits)[0]  # a fresh array, scaled in place
+        q *= weight
+        mixed += q
     return mixed
 
 
@@ -152,16 +186,26 @@ def quantize_channels(
     The selected channels are quantized as one group (shared scale); all other
     channels pass through bit-identically.  Channel order is preserved: the
     result is a scatter back into the original layout, not a concatenation.
+    Selecting every channel in order returns the dense mixture itself.
+    ``channels`` is a 1-D integer array or list; an empty one is the identity.
     """
     a = np.asarray(acts, dtype=np.float64)
     if a.ndim != 4:
         raise ValueError(f"activations must be 4-D (batch, channel, h, w), got ndim={a.ndim}")
-    idx = np.asarray(channels, dtype=np.int64)
-    out = a.copy()
+    idx = np.asarray(channels)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError(
+            f"channels must be a 1-D list of integer indices, got dtype {idx.dtype} ndim {idx.ndim}"
+        )
     if idx.size == 0:
-        return out
+        return a.copy()
     if idx.min() < 0 or idx.max() >= a.shape[1]:
         raise IndexError(f"channel index out of range for {a.shape[1]} channels")
+    if np.array_equal(idx, np.arange(a.shape[1])):
+        # every channel in order: the dense mixture, without the copy,
+        # gather and scatter
+        return mix_precision(a, betas, bit_choices)
+    out = a.copy()
     out[:, idx] = mix_precision(a[:, idx], betas, bit_choices)
     return out
 

@@ -3,14 +3,16 @@
 `perfbench/` traces named functions of acceldse and re-costs results through
 the exported `oracle_search`.  Each CLI workload's command runs here once,
 in process, under the benchmark's own span recorder, and every boundary the
-workload requires must fire.  The benchmark's files are imported as they
-are.
+workload requires must fire; so does each quant workload's pass.  The
+benchmark's files are imported as they are.
 """
 
 import json
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -20,7 +22,7 @@ import gen  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from acceldse import cli  # noqa: E402
+from acceldse import cli, quant  # noqa: E402
 
 
 def traced(argv):
@@ -79,6 +81,25 @@ def test_cost_memo_fires_every_boundary(tmp_path):
     assert reports[0] == reports[1]
     assert len(memo.read_text().splitlines()) == 20
 
+
+
+def test_quant_fires_every_boundary():
+    """The quant workloads' pass, `channel_importance -> topk_channels ->
+    quantize_channels` looked up on the module as the benchmark's child does,
+    fires every boundary at K=3 and at K=100: `quantize` runs once per bit
+    width on both paths."""
+    rng = np.random.default_rng(5)
+    acts = rng.normal(size=(2, 8, 3, 3))
+    alpha, gammas = rng.dirichlet(np.ones(3)), rng.uniform(0.1, 2.0, (3, 8))
+    betas = rng.dirichlet(np.ones(len(gen.BITS)))
+    for workload in (workloads.QuantK3, workloads.QuantK100):
+        recorder = spans.Recorder()
+        with spans.installed(recorder):
+            channels = quant.topk_channels(quant.channel_importance(alpha, gammas), workload.k)
+            quant.quantize_channels(acts, channels, betas, gen.BITS)
+        assert set(workload.boundaries) <= spans.fired([recorder.spans]), workload.name
+        calls = Counter(span[2] for span in recorder.spans)
+        assert calls["quant.quantize"] == len(gen.BITS), workload.name
 
 
 def test_co_generator_skips_no_op_updates(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acceldse import (
     channel_importance,
@@ -10,6 +12,8 @@ from acceldse import (
     quantize_channels,
     topk_channels,
 )
+from conftest import PROPERTY
+from quant_oracle import reference_mix_precision, reference_quantize, reference_quantize_channels
 
 
 def test_quantize_grid_exact():
@@ -163,3 +167,153 @@ def test_memory_model():
             assert r < prev
         prev = r
 
+
+
+def as_bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def tensors(draw, shapes):
+    """A tensor of a drawn shape: normal values at a drawn scale, a constant,
+    a constant with one value changed, or integers; sometimes a strided
+    (non-contiguous) view, and sometimes read-only."""
+    shape = draw(shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("normal", "constant", "one differs", "integer")))
+    constant = draw(st.sampled_from((0.0, -0.0, 4.2, -3e5)))
+    if kind == "normal":
+        values = rng.normal(draw(st.sampled_from((0.0, -7.0))),
+                            draw(st.sampled_from((1e-6, 1.0, 1e4))), shape)
+    elif kind == "integer":
+        values = rng.integers(-9, 10, shape)
+    else:
+        values = np.full(shape, constant)
+        if kind == "one differs":
+            values.flat[rng.integers(values.size)] += draw(st.sampled_from((1e-12, 1.0, -2.5)))
+    if values.ndim and draw(st.booleans()):
+        padded = np.zeros((*shape[:-1], 2 * shape[-1]), dtype=values.dtype)
+        padded[..., ::2] = values
+        values = padded[..., ::2]
+    if draw(st.booleans()):
+        values.flags.writeable = False
+    return values
+
+
+ANY_SHAPE = st.lists(st.integers(1, 5), max_size=3).map(tuple)  # 0-d up to 3-d
+ACTS_SHAPE = st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3))
+BIT_SETS = st.sampled_from(((2, 4, 8), (1, 3)))
+
+
+def assert_fresh(out, values, before: bytes):
+    """The input is unchanged, and the output is no view of it."""
+    assert np.asarray(values).tobytes() == before
+    assert not np.shares_memory(out, values)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.data())
+def test_kernels_match_the_plain_reference_bit_for_bit(data):
+    bit_choices = data.draw(BIT_SETS)
+    betas = np.random.default_rng(data.draw(st.integers(0, 99))).dirichlet(np.ones(len(bit_choices)))
+
+    values = data.draw(tensors(ANY_SHAPE))
+    before = values.tobytes()
+    for bits in bit_choices:
+        out, spec = quantize(values, bits)
+        want, want_spec = reference_quantize(values, bits)
+        assert spec == want_spec and type(spec.bits) is int and type(spec.qmax) is int
+        assert out.shape == values.shape and np.array_equal(as_bits(out), as_bits(want))
+        assert_fresh(out, values, before)
+    mixed = mix_precision(values, betas, bit_choices)
+    assert np.array_equal(as_bits(mixed), as_bits(reference_mix_precision(values, betas, bit_choices)))
+    assert_fresh(mixed, values, before)
+
+    acts = data.draw(tensors(ACTS_SHAPE))
+    before = acts.tobytes()
+    n = acts.shape[1]
+    selection = data.draw(st.sampled_from(("none", "partial", "all")))
+    if selection == "partial":
+        channels = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    else:
+        channels = list(range(n)) if selection == "all" else []
+    if data.draw(st.booleans()):
+        channels = np.array(channels, dtype=np.int64)
+    out = quantize_channels(acts, channels, betas, bit_choices)
+    want = reference_quantize_channels(acts, channels, betas, bit_choices)
+    assert out.shape == acts.shape and np.array_equal(as_bits(out), as_bits(want))
+    assert_fresh(out, acts, before)
+
+
+@pytest.mark.parametrize("bits", [0, -3, 54, 2000, 2.5, 8.0, True, False, "8", None, np.int8(-1)])
+def test_quantize_refuses_bits_off_domain(bits):
+    with pytest.raises(ValueError, match=r"^bits must be an int in \[1, 53\]"):
+        quantize(np.array([0.0, 1.0, 2.0]), bits)
+
+
+def test_quantize_takes_numpy_integer_bits_as_plain_ints():
+    v = np.array([0.0, 1.0, 15.0, 7.3])
+    for bits in (np.int8(8), np.uint8(8), np.int64(8)):
+        out, spec = quantize(v, bits)
+        assert spec == quantize(v, 8)[1]
+        assert type(spec.bits) is int and spec.qmax == 255 and type(spec.qmax) is int
+        assert np.array_equal(as_bits(out), as_bits(quantize(v, 8)[0]))
+    out, spec = quantize(v, 53)
+    assert spec.qmax == 2**53 - 1 and np.all(np.abs(out - v) <= spec.scale)
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan]])
+def test_quantize_refuses_non_finite_entries(values):
+    with pytest.raises(ValueError, match="^tensor contains non-finite entries$"):
+        quantize(np.array(values), 4)
+
+
+@pytest.mark.parametrize("values,bits,match", [
+    ([-1e308, 0.0, 1e308], 2, "overflows float64"),
+    ([-1.7e308, 1.7e308], 8, "overflows float64"),
+    ([0.0, 5e-324, 1e-323], 8, "below 2\\^-1022"),
+    ([0.0, 5e-324], 1, "below 2\\^-1022"),
+    ([0.0, 2.0**-1000], 30, "below 2\\^-1022"),
+])
+def test_quantize_refuses_ranges_off_the_grid_domain(values, bits, match):
+    with pytest.raises(ValueError, match=match):
+        quantize(np.array(values), bits)
+
+
+def test_quantize_range_domain_edges_and_constants():
+    for constant in (1e308, -1e308, 5e-324, 0.0):
+        v = np.full(4, constant)
+        out, spec = quantize(v, 8)
+        assert spec.scale == 0.0 and np.array_equal(as_bits(out), as_bits(v))
+    out, spec = quantize(np.array([0.0, 2.0**-1022 * 3]), 2)  # the smallest normal scale
+    assert spec.scale == 2.0**-1022 and np.array_equal(out, [0.0, 2.0**-1022 * 3])
+    out, spec = quantize(np.array([-8e307, 8e307]), 2)
+    assert np.all(np.isfinite(out)) and np.array_equal(out, [-8e307, 8e307])
+
+
+@pytest.mark.parametrize("channels", [[0.7], [True, False, True], np.array([1.0, 2.0]),
+                                      [[0, 1]], np.array(1), ["0"]])
+def test_quantize_channels_refuses_malformed_selections(channels):
+    a = np.arange(2 * 3 * 2 * 2, dtype=np.float64).reshape(2, 3, 2, 2)
+    with pytest.raises(ValueError, match="^channels must be a 1-D list of integer indices"):
+        quantize_channels(a, channels, [0.2, 0.3, 0.5])
+
+
+def test_quantize_channels_takes_empty_and_unsigned_selections():
+    a = np.arange(2 * 3 * 2 * 2, dtype=np.float64).reshape(2, 3, 2, 2)
+    betas = [0.2, 0.3, 0.5]
+    for empty in ([], np.array([]), np.array([], dtype=np.uint8)):
+        out = quantize_channels(a, empty, betas)
+        assert np.array_equal(out, a) and not np.shares_memory(out, a)
+    assert np.array_equal(quantize_channels(a, np.array([0, 2], dtype=np.uint8), betas),
+                          quantize_channels(a, [0, 2], betas))
+    with pytest.raises(IndexError):
+        quantize_channels(a, np.array([3], dtype=np.uint64), betas)
+
+
+@pytest.mark.parametrize("betas", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5, -np.inf]])
+def test_mix_precision_refuses_non_finite_betas(betas):
+    with pytest.raises(ValueError, match="^betas must be finite"):
+        mix_precision(np.array([0.0, 1.0, 15.0]), betas)
+    with pytest.raises(ValueError, match="^betas must be finite"):
+        quantize_channels(np.ones((1, 2, 1, 1)), [0, 1], betas)
