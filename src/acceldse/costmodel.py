@@ -58,17 +58,39 @@ passes, is cached per operator shape (`_grid_table`) together with every
 term no config field changes: tile counts, distinct tiles per operand,
 padded MACs (as two factors), partial-sum bytes, and nominal and clipped
 tile bytes, all read-only and none of the grid's full size.
-Given that grid, `evaluate_tilings` and `fits_caches_mask` read those terms
-and compute only the ones a config changes: the three cache compares, the
-passes of the dataflow's two dimensions, fetch counts, bytes, memory
-cycles, energy and latency.  Scalars and flat arrays go through the same
-stage functions without the cache.  Feasibility is a separate mask
-(`fits_caches_mask`) over the same inputs; `evaluate_tilings` scores
-infeasible tilings too.  Each element sees the same float operations in
-every shape, integers are exact in int64 and byte counts are exact
-multiples of 1/8 in float64 (for operators inside the range
-`workload.OperatorDescriptor` accepts), so the three shapes give
-bit-identical results.
+Feasibility is a separate mask (`fits_caches_mask`) over the same inputs;
+`evaluate_tilings` scores infeasible tilings too.
+
+Stages
+    Every term a config changes comes from a stage function that takes
+    only the config fields of its key, never the config itself:
+
+    * fit mask (`_fit_mask`), keyed on the three cache sizes;
+    * compute cycles (`_compute_cycles`), keyed on `pe_x`, `pe_y` and the
+      dataflow;
+    * traffic and energy (`_traffic`): fetch counts, per-operand and total
+      DRAM bytes, memory cycles and energy, keyed on the dataflow, the loop
+      order and the constants.  It adds the DRAM term to the energy base
+      (`_energy_base`: the MAC plus the SRAM term, which no config field
+      changes), so the sum keeps its float order `(mac + sram) + dram`;
+    * combine (`_combine`), computed for every config: cycles =
+      max(compute, memory cycles) and latency.  `tiling.batch_search` then
+      takes the objective and the argmin.
+
+    On an operator's own candidate grid, `evaluate_tilings` and
+    `fits_caches_mask` memoize each stage's outputs (and the energy base,
+    keyed on the constants) in the operator's table, one slot per stage:
+    the last key asked for and its outputs, read-only like the table's
+    arrays.  A request with that key is served from the slot; any other
+    key replaces it.  An operator's first request of a stage stores only
+    the key, so an operator costed once (`cost` over many distinct
+    operators) holds no stage arrays.  Scalars and flat arrays go through
+    the same stage functions without the table or the memo.
+
+Each element sees the same float operations in every shape, integers are
+exact in int64 and byte counts are exact multiples of 1/8 in float64 (for
+operators inside the range `workload.OperatorDescriptor` accepts), so the
+three shapes give bit-identical results, memoized or not.
 
 `COST_MODEL_VERSION` names this model.  Any change to the model's outputs
 bumps it, so that the `--cache` memo, whose key includes it, never serves a
@@ -339,15 +361,18 @@ def _config_free_terms(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _Terms
 
 
 class _GridTable(NamedTuple):
-    """An operator's candidate grid and its config-independent terms."""
+    """An operator's candidate grid, its config-independent terms, and the
+    stage memo: per stage name, one slot `(key, outputs)` (see `_memoized`)."""
 
     grid: tuple  # (t_oc, t_ic, t_oh, t_ow), an open grid
     terms: _Terms
     clipped: tuple  # clipped (act, wgt, out) tile bytes, the fit mask's input
+    memo: dict
 
 
 def _freeze(value):
-    """Make every array in `value` (nested in tuples and dicts) read-only."""
+    """Make every array in `value` (nested in tuples and dicts) read-only,
+    and return `value`."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, dict):
@@ -356,21 +381,21 @@ def _freeze(value):
     elif isinstance(value, tuple):
         for item in value:
             _freeze(item)
+    return value
 
 
 @lru_cache(maxsize=256)
 def _grid_table(op: OperatorDescriptor) -> _GridTable:
     """The open grid of the operator's candidate tile sizes, one int64 axis
     per dimension in the order (t_oc, t_ic, t_oh, t_ow), with every term
-    computed on it that does not depend on the config.  Every array is
-    read-only, so no caller can change what later calls read."""
+    computed on it that does not depend on the config, and an empty stage
+    memo.  Every array is read-only, those the memo will hold too, so no
+    caller can change what later calls read."""
     dims = (op.out_channels, op.in_channels, op.out_rows, op.out_rows)
     axes = (np.asarray(tile_size_choices(d), dtype=np.int64) for d in dims)
     t_oc, t_ic, t_oh, t_ow = grid = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-    table = _GridTable(grid, _config_free_terms(op, t_oc, t_ic, t_ow, t_oh),
-                       _clipped_tile_bytes(op, t_oc, t_ic, t_ow, t_oh))
-    _freeze(table)
-    return table
+    return _freeze(_GridTable(grid, _config_free_terms(op, t_oc, t_ic, t_ow, t_oh),
+                              _clipped_tile_bytes(op, t_oc, t_ic, t_ow, t_oh), {}))
 
 
 def _grid_table_of(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _GridTable | None:
@@ -385,21 +410,31 @@ def _grid_table_of(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _GridTable
     return None
 
 
-def _spatial_dims(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
+def _fit_mask(clipped, act_cache_kb, wgt_cache_kb, out_cache_kb):
+    """Fit-mask stage: the clipped tile of each operand against its cache."""
+    act, wgt, out = clipped
+    return ((act <= act_cache_kb * 1024)
+            & (wgt <= wgt_cache_kb * 1024)
+            & (out <= out_cache_kb * 1024))
+
+
+def _spatial_dims(op: OperatorDescriptor, dataflow: Dataflow, t_oc, t_ic, t_ow, t_oh):
     """The two tile dimensions mapped onto the PE array, and the MACs one
     array cell performs per tile (tile_macs / (d1 * d2), an exact quotient)."""
     k2 = op.kernel**2
-    if cfg.dataflow is Dataflow.WS:
+    if dataflow is Dataflow.WS:
         return t_ic, t_oc, t_ow * t_oh * k2
-    if cfg.dataflow is Dataflow.OS:
+    if dataflow is Dataflow.OS:
         return t_ow, t_oh, t_ic * t_oc * k2
     return op.kernel, t_oh, t_ic * t_oc * t_ow * op.kernel  # RS
 
 
-def _compute_cycles(op, cfg, t_oc, t_ic, t_ow, t_oh, counts):
-    d1, d2, cell_macs = _spatial_dims(op, cfg, t_oc, t_ic, t_ow, t_oh)
+def _compute_cycles(op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, counts):
+    """Compute-cycles stage: spatial passes times cell MACs over the
+    bit-serial speedup, per tile, times the tile count."""
+    d1, d2, cell_macs = _spatial_dims(op, dataflow, t_oc, t_ic, t_ow, t_oh)
     bitspeed = (8 // op.act_bits) * (8 // op.wgt_bits)
-    passes = _ceil_div(d1, cfg.pe_x) * _ceil_div(d2, cfg.pe_y)
+    passes = _ceil_div(d1, pe_x) * _ceil_div(d2, pe_y)
     # N_tiles as two factors (see `_Terms`)
     return (_ceil_div(passes * cell_macs, bitspeed) * (counts["I"] * counts["O"])
             * (counts["H"] * counts["W"]))
@@ -422,12 +457,12 @@ def _refetch_loops(loop_order: str, stationary: str) -> tuple:
     return tuple(plan)
 
 
-def _refetch_factors(cfg: AcceleratorConfig, counts: dict, multi: dict) -> dict:
+def _refetch_factors(dataflow: Dataflow, loop_order: str, counts: dict, multi: dict) -> dict:
     """Fetches per distinct tile of each operand, `fetches / unique` in the
     closed form of the module docstring.  A factor that is 1 for every
     tiling is `_ONE` itself."""
     factors = {}
-    for operand, forcing in _refetch_loops(cfg.loop_order, STATIONARY_OPERAND[cfg.dataflow]):
+    for operand, forcing in _refetch_loops(loop_order, STATIONARY_OPERAND[dataflow]):
         factor = _ONE
         for dim, inner in forcing:
             moves = multi[inner[0]]
@@ -439,43 +474,80 @@ def _refetch_factors(cfg: AcceleratorConfig, counts: dict, multi: dict) -> dict:
     return factors
 
 
-def _config_terms(op, cfg, constants, t_oc, t_ic, t_ow, t_oh, terms: _Terms) -> dict:
-    """Every output of `evaluate_tilings` from the config-independent terms."""
-    compute = _compute_cycles(op, cfg, t_oc, t_ic, t_ow, t_oh, terms.counts)
-    factors = _refetch_factors(cfg, terms.counts, terms.multi)
+def _energy_base(op: OperatorDescriptor, constants: CostConstants, terms: _Terms):
+    """The energy in pJ that no config field changes: the MAC term plus the
+    SRAM term.  The traffic stage adds the DRAM term to it, in the order
+    `(mac + sram) + dram` that the sum of all three takes."""
+    padded_macs = _cast(terms.padded_io * terms.padded_hw, np.float64)
+    mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
+    sram_bytes = padded_macs * (op.act_bits + op.wgt_bits) / 8.0 + terms.psum_bytes
+    return mac_pj + sram_bytes * constants.e_sram_pj_per_byte
+
+
+class _Traffic(NamedTuple):
+    """The traffic-and-energy stage's outputs."""
+
+    fetches: dict  # per operand
+    act_bytes: object
+    wgt_bytes: object
+    out_bytes: object
+    total_bytes: object
+    mem_cycles: object
+    energy_mj: object
+
+
+def _traffic(dataflow: Dataflow, loop_order: str, constants: CostConstants, terms: _Terms,
+             energy_base) -> _Traffic:
+    """Traffic-and-energy stage: fetch counts under the re-fetch rule, DRAM
+    bytes per operand and in total, memory cycles, and the energy."""
+    factors = _refetch_factors(dataflow, loop_order, terms.counts, terms.multi)
     fetches = {operand: uniq if factors[operand] is _ONE else uniq * factors[operand]
                for operand, uniq in terms.unique.items()}
     act_b = _cast(fetches["act"], np.float64) * terms.act_tile
     wgt_b = _cast(fetches["wgt"], np.float64) * terms.wgt_tile
     out_b = terms.unique_out_bytes * _cast(2 * factors["out"] - 1, np.float64)
     total_b = act_b + wgt_b + out_b
-
     mem_cycles = _cast(np.ceil(total_b / constants.dram_bw_bytes_per_cycle), np.int64)
-    cycles = np.maximum(compute, mem_cycles)
-    latency_ms = _cast(cycles, np.float64) / (constants.f_clk_mhz * 1000.0)
+    energy_mj = (energy_base + total_b * constants.e_dram_pj_per_byte) * 1e-9
+    return _Traffic(fetches, act_b, wgt_b, out_b, total_b, mem_cycles, energy_mj)
 
-    padded_macs = _cast(terms.padded_io * terms.padded_hw, np.float64)
-    mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
-    sram_bytes = padded_macs * (op.act_bits + op.wgt_bits) / 8.0 + terms.psum_bytes
-    energy_pj = (mac_pj + sram_bytes * constants.e_sram_pj_per_byte
-                 + total_b * constants.e_dram_pj_per_byte)
-    energy_mj = energy_pj * 1e-9
 
+def _combine(compute, traffic: _Traffic, f_clk_mhz: float, terms: _Terms) -> dict:
+    """Combine stage, computed for every config: cycles as the larger of
+    compute and memory cycles, and latency; the outputs of
+    `evaluate_tilings`."""
+    cycles = np.maximum(compute, traffic.mem_cycles)
+    latency_ms = _cast(cycles, np.float64) / (f_clk_mhz * 1000.0)
     return {
         "cycles": cycles,
         "compute_cycles": compute,
-        "mem_cycles": mem_cycles,
+        "mem_cycles": traffic.mem_cycles,
         "latency_ms": latency_ms,
-        "energy_mj": energy_mj,
-        "dram_bytes": total_b,
-        "act_bytes": act_b,
-        "wgt_bytes": wgt_b,
-        "out_bytes": out_b,
-        "act_fetches": fetches["act"],
-        "wgt_fetches": fetches["wgt"],
-        "out_fetches": fetches["out"],
+        "energy_mj": traffic.energy_mj,
+        "dram_bytes": traffic.total_bytes,
+        "act_bytes": traffic.act_bytes,
+        "wgt_bytes": traffic.wgt_bytes,
+        "out_bytes": traffic.out_bytes,
+        "act_fetches": traffic.fetches["act"],
+        "wgt_fetches": traffic.fetches["wgt"],
+        "out_fetches": traffic.fetches["out"],
         "out_unique_tiles": terms.unique["out"],
     }
+
+
+def _memoized(table: _GridTable, stage: str, key, compute):
+    """The outputs of `stage` under `key`: read from the operator's one slot
+    for the stage if it holds that key, else `compute()`, which then fills
+    the slot, read-only, in place of what it held.  On the operator's first
+    request of the stage the slot keeps the key alone, so an operator costed
+    once holds no stage arrays.  A slot is replaced whole, as one tuple, so
+    no reader pairs one key with another key's outputs."""
+    slot = table.memo.get(stage)
+    if slot is not None and slot[1] is not None and slot[0] == key:
+        return slot[1]
+    outputs = compute()
+    table.memo[stage] = (key, None if slot is None else _freeze(outputs))
+    return outputs
 
 
 def evaluate_tilings(
@@ -490,36 +562,41 @@ def evaluate_tilings(
     """Cost evaluation over int64 scalars, flat arrays or an open grid of
     tile sizes; each output has the broadcast shape of the inputs it
     depends on.  On the operator's own candidate grid the config-independent
-    terms are read from its cached table, and outputs that are such terms
-    are its read-only arrays.
+    terms are read from its cached table and each stage's outputs from its
+    memo slot when the stage's key repeats; outputs read from either are
+    read-only arrays.
 
     Feasibility is not checked here: `fits_caches_mask` gives it for the same
     inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
     or refuse them (the scalar views).
     """
     constants = constants or CostConstants()
+    pe_x, pe_y, dataflow, loop_order = cfg.pe_x, cfg.pe_y, cfg.dataflow, cfg.loop_order
     table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
     if table is None:
         t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
         terms = _config_free_terms(op, t_oc, t_ic, t_ow, t_oh)
+        compute = _compute_cycles(op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, terms.counts)
+        traffic = _traffic(dataflow, loop_order, constants, terms,
+                           _energy_base(op, constants, terms))
     else:
         terms = table.terms
-    return _config_terms(op, cfg, constants, t_oc, t_ic, t_ow, t_oh, terms)
+        compute = _memoized(table, "compute", (pe_x, pe_y, dataflow), lambda: _compute_cycles(
+            op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, terms.counts))
+        traffic = _memoized(table, "traffic", (dataflow, loop_order, constants), lambda: _traffic(
+            dataflow, loop_order, constants, terms,
+            _memoized(table, "energy_base", constants, lambda: _energy_base(op, constants, terms))))
+    return _combine(compute, traffic, constants.f_clk_mhz, terms)
 
 
 def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
     """Cache-fit test per tiling, over the same input shapes as
     `evaluate_tilings`: the clipped tile of each operand against its cache."""
+    key = (cfg.act_cache_kb, cfg.wgt_cache_kb, cfg.out_cache_kb)
     table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
     if table is None:
-        act, wgt, out = _clipped_tile_bytes(op, *map(_as_i64, (t_oc, t_ic, t_ow, t_oh)))
-    else:
-        act, wgt, out = table.clipped
-    return (
-        (act <= cfg.act_cache_kb * 1024)
-        & (wgt <= cfg.wgt_cache_kb * 1024)
-        & (out <= cfg.out_cache_kb * 1024)
-    )
+        return _fit_mask(_clipped_tile_bytes(op, *map(_as_i64, (t_oc, t_ic, t_ow, t_oh))), *key)
+    return _memoized(table, "fit", key, lambda: _fit_mask(table.clipped, *key))
 
 
 def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.generic]:

@@ -39,6 +39,11 @@ MAX_BITS = 53
 # A non-constant tensor's scale must be a normal float64: a subnormal or zero
 # scale loses the grid, and zero is the constant-tensor sentinel.
 MIN_SCALE = 2.0**-1022
+# How far the sum of a mixture's weights may lie from 1: far above the few
+# ulps by which a float sum of normalized weights (a Dirichlet draw, or
+# weights divided by their sum) misses 1, far below any weights that do not
+# form a convex mixture.
+BETAS_SUM_TOLERANCE = 1e-9
 
 
 def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
@@ -48,13 +53,16 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
     input) and the QuantSpec.  Constant tensors come back unchanged with a
     zero-scale sentinel.  ``bits`` is an int (not a bool) in [1, 53]; a
     non-constant tensor needs a finite ``max - min`` and a scale of at least
-    2^-1022.
+    2^-1022.  An empty tensor has no value range and is refused.
     """
     if (isinstance(bits, bool) or not isinstance(bits, (int, np.integer))
             or not 1 <= bits <= MAX_BITS):
         raise ValueError(f"bits must be an int in [1, {MAX_BITS}], got {bits!r}")
     bits = int(bits)
     v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError(f"cannot quantize an empty tensor of shape {v.shape}: it has no "
+                         "value range")
     # min and max propagate NaN, and an infinity is one of them
     lo = float(v.min())
     hi = float(v.max())
@@ -93,7 +101,12 @@ def mix_precision(
 ) -> np.ndarray:
     """Convex mixture of the tensor quantized at each candidate bitwidth.
 
-    Weights are applied in ``bit_choices`` order and summed from zero."""
+    Weights are applied in ``bit_choices`` order and summed from zero.
+    ``bit_choices`` is not empty, and ``betas`` holds one finite,
+    non-negative weight per bit choice, summing to 1 within
+    ``BETAS_SUM_TOLERANCE``."""
+    if len(bit_choices) == 0:
+        raise ValueError("bit_choices must not be empty")
     betas = np.asarray(betas, dtype=np.float64)
     if betas.shape != (len(bit_choices),):
         raise ValueError(
@@ -101,6 +114,9 @@ def mix_precision(
         )
     if not np.all(np.isfinite(betas)):
         raise ValueError(f"betas must be finite, got {betas.tolist()}")
+    if np.any(betas < 0) or not abs(betas.sum() - 1.0) <= BETAS_SUM_TOLERANCE:
+        raise ValueError("betas must be non-negative and sum to 1 within "
+                         f"{BETAS_SUM_TOLERANCE:g}, got {betas.tolist()}")
     v = np.asarray(values, dtype=np.float64)
     mixed = np.zeros_like(v)
     for weight, bits in zip(betas, bit_choices):
@@ -188,10 +204,15 @@ def quantize_channels(
     result is a scatter back into the original layout, not a concatenation.
     Selecting every channel in order returns the dense mixture itself.
     ``channels`` is a 1-D integer array or list; an empty one is the identity.
+    Empty activations are refused whatever the selection, as `quantize`
+    refuses an empty tensor.
     """
     a = np.asarray(acts, dtype=np.float64)
     if a.ndim != 4:
         raise ValueError(f"activations must be 4-D (batch, channel, h, w), got ndim={a.ndim}")
+    if a.size == 0:
+        raise ValueError(f"cannot quantize empty activations of shape {a.shape}: they have no "
+                         "value range")
     idx = np.asarray(channels)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise ValueError(

@@ -1,5 +1,9 @@
 """The per-operator grid table: closed form on the grid against the loop-nest
-walker, the cache-growth law, and a cache no caller can corrupt."""
+walker, the cache-growth law, a cache no caller can corrupt, the field
+separability of the cost stages, and the stage memo's one slot per stage."""
+
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,14 +16,16 @@ from acceldse import (
     Dataflow,
     NoFeasibleTiling,
     OperatorDescriptor,
+    ParamSpace,
     TilingPlan,
     all_loop_orders,
     batch_search,
     hw_cost,
 )
+from acceldse import costmodel
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
-from acceldse.costmodel import _grid_table, evaluate_tilings, fits_caches_mask
-from conftest import PROPERTY
+from acceldse.costmodel import CostConstants, _grid_table, evaluate_tilings, fits_caches_mask
+from conftest import PROPERTY, REF_CFG, REF_OP
 from nestwalk import walk_traffic
 
 configs = st.builds(
@@ -59,12 +65,28 @@ operators = st.builds(
 CACHES = ("act_cache_kb", "wgt_cache_kb", "out_cache_kb")
 
 
-def grid_outputs(op, cfg):
+def grid_outputs(op, cfg, constants=None):
     """`evaluate_tilings` and `fits_caches_mask` on the operator's own grid."""
     t_oc, t_ic, t_oh, t_ow = _grid_table(op).grid
-    out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
     out["fits"] = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
     return out
+
+
+def fresh_outputs(op, cfg, constants=None):
+    """`grid_outputs` evaluated afresh: on copies of the operator's grid, the
+    same open grid but not the table's arrays, so neither the table nor its
+    stage memo is read."""
+    t_oc, t_ic, t_oh, t_ow = (g.copy() for g in _grid_table(op).grid)
+    out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
+    out["fits"] = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    return out
+
+
+def assert_same_bits(got, want, names):
+    for name in names:
+        assert (got[name].dtype, got[name].shape) == (want[name].dtype, want[name].shape), name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def table_arrays(value):
@@ -155,6 +177,126 @@ def test_grid_table_cannot_be_corrupted(op, cfg_a, cfg_b):
             values[...] = 0
     again = grid_outputs(op, cfg_a)
     assert again.keys() == first.keys()
-    for name, values in first.items():
-        assert (again[name].dtype, again[name].shape) == (values.dtype, values.shape), name
-        assert again[name].tobytes() == values.tobytes(), name
+    assert_same_bits(again, first, first)
+
+    # every stage has now been asked at least twice, so its slot holds
+    # cfg_a's outputs and this evaluation reads them from the memo
+    served = grid_outputs(op, cfg_a)
+    assert_same_bits(served, first, first)
+    memo = list(table_arrays(_grid_table(op).memo))
+    for name, values in served.items():
+        if name not in ("cycles", "latency_ms"):  # the combine stage's, fresh per call
+            assert any(np.shares_memory(values, array) for array in memo + held), name
+            with pytest.raises(ValueError):
+                values.flat[0] = 0
+
+
+TRAFFIC = ("mem_cycles", "energy_mj", "dram_bytes", "act_bytes", "wgt_bytes", "out_bytes",
+           "act_fetches", "wgt_fetches", "out_fetches", "out_unique_tiles")
+SEPARABLE = {
+    # changed config fields: the outputs that must not move, bit for bit
+    CACHES: ("cycles", "compute_cycles", "latency_ms", *TRAFFIC),
+    ("pe_x",): (*TRAFFIC, "fits"),
+    ("pe_y",): (*TRAFFIC, "fits"),
+    ("loop_order",): ("compute_cycles", "fits"),
+}
+
+
+@settings(PROPERTY, max_examples=150)
+@given(operators, configs, configs, st.sampled_from(list(SEPARABLE)))
+@example(OperatorDescriptor(5, 1, 7, 552, 552, 8, 8),
+         AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIHWO"),
+         AcceleratorConfig(9, 31, 512, 128, 64, Dataflow.OS, "OWHIB"), CACHES)
+def test_a_field_change_moves_only_the_stages_that_read_it(op, cfg, other, changed):
+    """Field separability, exact: a change to the cache sizes leaves every
+    `evaluate_tilings` output unchanged; one to `pe_x` or `pe_y` leaves the
+    fetches, bytes, memory cycles, energy and fit mask unchanged; one to the
+    loop order leaves the compute cycles and the fit mask unchanged.
+    Evaluated afresh, so the law holds of the model, not of the memo."""
+    moved = replace(cfg, **{name: getattr(other, name) for name in changed})
+    assert_same_bits(fresh_outputs(op, moved), fresh_outputs(op, cfg), SEPARABLE[changed])
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(AcceleratorConfig))
+DOMAINS = dict(zip(CONFIG_FIELDS, ParamSpace().candidates))  # the full space
+# the default constants, an equal but distinct instance, and other constants
+CONSTANTS = (CostConstants(), CostConstants(),
+             CostConstants(dram_bw_bytes_per_cycle=8.0, e_mac_pj=0.5, e_sram_pj_per_byte=2.0,
+                           e_dram_pj_per_byte=100.0))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(operators, configs,
+       st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS), st.integers(0, 2**16),
+                          st.integers(0, len(CONSTANTS) - 1)), min_size=1, max_size=12))
+def test_memoized_grid_outputs_equal_a_fresh_evaluation(op, cfg, steps):
+    """Exact: along a sequence of configs that each change one field of the
+    last, as annealing does, and of constants, every grid output read
+    through the stage memo equals a fresh evaluation bit for bit."""
+    _grid_table(op).memo.clear()
+    for name, index, which in [(None, 0, 0), *steps]:
+        if name is not None:
+            cfg = replace(cfg, **{name: DOMAINS[name][index % len(DOMAINS[name])]})
+        got = grid_outputs(op, cfg, CONSTANTS[which])
+        assert_same_bits(got, fresh_outputs(op, cfg, CONSTANTS[which]), got)
+
+
+STAGES = {"fit", "compute", "energy_base", "traffic"}
+
+
+def test_an_operator_costed_once_holds_no_stage_arrays():
+    """The first request of each stage keeps its key but stores nothing, so
+    a one-shot operator (`cost` on many distinct operators) costs no memo."""
+    _grid_table.cache_clear()
+    batch_search(REF_OP, REF_CFG)
+    memo = _grid_table(REF_OP).memo
+    assert set(memo) == STAGES
+    assert all(outputs is None for _, outputs in memo.values())
+    assert not list(table_arrays(memo))
+
+
+def test_each_stage_keeps_one_slot():
+    """Across configs each stage holds one entry, the last key it was asked
+    for, with read-only outputs; a repeated key is served from it."""
+    table = _grid_table(REF_OP)
+    table.memo.clear()
+    cfg = REF_CFG
+    for name, value in (("pe_x", 9), ("act_cache_kb", 128), ("loop_order", "BOIHW"),
+                        ("dataflow", Dataflow.OS), ("pe_x", 16)):
+        cfg = replace(cfg, **{name: value})
+        batch_search(REF_OP, cfg)
+        assert set(table.memo) <= STAGES
+    assert set(table.memo) == STAGES
+    assert table.memo["fit"][0] == (cfg.act_cache_kb, cfg.wgt_cache_kb, cfg.out_cache_kb)
+    assert table.memo["compute"][0] == (cfg.pe_x, cfg.pe_y, cfg.dataflow)
+    assert table.memo["traffic"][0] == (cfg.dataflow, cfg.loop_order, CostConstants())
+    assert all(outputs is not None for _, outputs in table.memo.values())
+    assert not any(array.flags.writeable for array in table_arrays(table.memo))
+
+    out = grid_outputs(REF_OP, cfg)
+    assert out["fits"] is table.memo["fit"][1]
+    assert out["compute_cycles"] is table.memo["compute"][1]
+    assert out["energy_mj"] is table.memo["traffic"][1].energy_mj
+
+
+# The config fields each stage function reads: its key.
+STAGE_KEYS = {
+    costmodel._fit_mask: {"act_cache_kb", "wgt_cache_kb", "out_cache_kb"},
+    costmodel._compute_cycles: {"pe_x", "pe_y", "dataflow"},
+    costmodel._spatial_dims: {"dataflow"},
+    costmodel._refetch_factors: {"dataflow", "loop_order"},
+    costmodel._energy_base: set(),
+    costmodel._traffic: {"dataflow", "loop_order"},
+    costmodel._combine: set(),
+}
+
+
+def test_no_stage_function_takes_the_config():
+    """A stage takes the fields of its key, never the config, so it cannot
+    read a field its memo key leaves out."""
+    for stage, key in STAGE_KEYS.items():
+        params = inspect.signature(stage).parameters
+        assert "cfg" not in params, stage.__name__
+        assert not any(p.annotation in (AcceleratorConfig, "AcceleratorConfig")
+                       for p in params.values()), stage.__name__
+        assert set(CONFIG_FIELDS) & set(params) == key, stage.__name__

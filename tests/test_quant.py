@@ -317,3 +317,55 @@ def test_mix_precision_refuses_non_finite_betas(betas):
         mix_precision(np.array([0.0, 1.0, 15.0]), betas)
     with pytest.raises(ValueError, match="^betas must be finite"):
         quantize_channels(np.ones((1, 2, 1, 1)), [0, 1], betas)
+
+
+@pytest.mark.parametrize("betas,bit_choices", [
+    ([], ()),
+    ([1.5, -0.5, 0.0], (2, 4, 8)),
+    ([0.5, 0.5, 0.5], (2, 4, 8)),
+    ([0.2, 0.2, 0.2], (2, 4, 8)),
+    ([0.5, 0.5 + 2e-9], (2, 4)),
+    ([1.0, -0.0, -1e-300], (2, 4, 8)),
+])
+def test_mix_precision_refuses_weights_that_are_no_convex_mixture(betas, bit_choices):
+    """An empty bit set, a negative weight, or weights whose sum is off 1 by
+    more than the tolerance are refused on both paths."""
+    with pytest.raises(ValueError, match="^bit_choices must not be empty|^betas must be non-negative"):
+        mix_precision(np.array([0.0, 1.0, 15.0]), betas, bit_choices)
+    with pytest.raises(ValueError, match="^bit_choices must not be empty|^betas must be non-negative"):
+        quantize_channels(np.arange(4.0).reshape(1, 2, 2, 1), [1], betas, bit_choices)
+
+
+def test_mix_precision_takes_normalized_float_weights():
+    """Weights normalized in floating point miss 1 by a few ulps and are
+    accepted: Dirichlet draws, weights divided by their sum, thirds, and a
+    sum off by less than the tolerance."""
+    v = np.array([0.0, 1.0, 15.0, 7.3])
+    rng = np.random.default_rng(0)
+    weight_sets = [rng.dirichlet(np.ones(n)) for n in (2, 3, 7) for _ in range(200)]
+    for _ in range(200):
+        w = rng.random(3)
+        weight_sets.append(w / w.sum())
+    weight_sets += [np.full(3, 1 / 3), np.array([1.0, -0.0, 0.0]), np.array([0.5, 0.5 + 5e-10, 0.0])]
+    for betas in weight_sets:
+        bit_choices = (2, 4, 8, 1, 3, 5, 6)[:betas.size]
+        assert np.array_equal(mix_precision(v, betas, bit_choices),
+                              reference_mix_precision(v, betas, bit_choices))
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4, 2)])
+def test_quantize_refuses_an_empty_tensor(shape):
+    with pytest.raises(ValueError, match="^cannot quantize an empty tensor"):
+        quantize(np.zeros(shape), 8)
+    with pytest.raises(ValueError, match="^cannot quantize an empty tensor"):
+        mix_precision(np.zeros(shape), [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2, 2), (2, 0, 2, 2), (2, 3, 0, 2), (2, 3, 2, 0)])
+@pytest.mark.parametrize("selection", ["none", "one", "all"])
+def test_quantize_channels_refuses_empty_activations_whatever_the_selection(shape, selection):
+    """Empty activations define no value range, so there is no selection
+    for which the result is defined: each is refused the same way."""
+    channels = {"none": [], "one": [0], "all": list(range(shape[1]))}[selection]
+    with pytest.raises(ValueError, match="^cannot quantize empty activations"):
+        quantize_channels(np.zeros(shape), channels, [0.2, 0.3, 0.5])
