@@ -46,18 +46,22 @@ Latency assumes perfect overlap of compute and DRAM transfers:
 cycles = max(compute_cycles, ceil(dram_bytes / dram_bw)), and
 latency_ms * f_clk_mhz * 1000 == cycles exactly.
 
-Every function here takes its tile sizes in one of three shapes: numpy
-int64 scalars (one tiling; the K=1 views `estimate_cost` and
-`dram_traffic`), flat arrays (one tiling per element),
-or an open grid (`np.meshgrid(..., sparse=True)`: one axis per tile
-dimension).  On a grid each term is computed on the axes it depends on, so
-tile counts, halos and per-operand tile bytes are computed on at most 11
-values, and only the terms that combine all four dimensions have the grid's
-full size.  An operator's own candidate grid, the one `tiling.batch_search`
-passes, is cached per operator shape (`_grid_table`) together with every
-term no config field changes: tile counts, distinct tiles per operand,
-padded MACs (as two factors), partial-sum bytes, and nominal and clipped
-tile bytes, all read-only and none of the grid's full size.
+Every function here takes its tile sizes in one of three shapes, always in
+`TilingPlan` field order (t_oc, t_ic, t_ow, t_oh): numpy int64 scalars (one
+tiling; the K=1 views `estimate_cost` and `dram_traffic`), flat arrays (one
+tiling per element), or an open grid (`np.meshgrid(..., sparse=True)`: one
+axis per tile dimension).  On a grid each term is computed on the axes it
+depends on, so tile counts, halos and per-operand tile bytes are computed on
+at most 11 values, and only the terms that combine all four dimensions have
+the grid's full size.  An operator's own candidate grid is cached per
+operator shape (`_grid_table`) together with every term no config field
+changes: tile counts, distinct tiles per operand, padded MACs (as two
+factors), partial-sum bytes, and nominal and clipped tile bytes, all
+read-only and none of the grid's full size.  The table alone knows the
+candidates' order: its axes vary lexicographically in (t_oc, t_ic, t_oh,
+t_ow), so ties break toward the earliest candidate in that order, and
+`_GridTable.plan` maps a position in the raveled grid to its tiling.  Both
+tiling searches pass the table's grid and read their plans through that map.
 Feasibility is a separate mask (`fits_caches_mask`) over the same inputs;
 `evaluate_tilings` scores infeasible tilings too.
 
@@ -74,18 +78,20 @@ Stages
       (`_energy_base`: the MAC plus the SRAM term, which no config field
       changes), so the sum keeps its float order `(mac + sram) + dram`;
     * combine (`_combine`), computed for every config: cycles =
-      max(compute, memory cycles) and latency.  `tiling.batch_search` then
-      takes the objective and the argmin.
+      max(compute, memory cycles) and latency, added to the traffic
+      stage's entries.  `tiling.batch_search` then takes the objective and
+      the argmin.
 
-    On an operator's own candidate grid, `evaluate_tilings` and
-    `fits_caches_mask` memoize each stage's outputs (and the energy base,
-    keyed on the constants) in the operator's table, one slot per stage:
-    the last key asked for and its outputs, read-only like the table's
-    arrays.  A request with that key is served from the slot; any other
-    key replaces it.  An operator's first request of a stage stores only
-    the key, so an operator costed once (`cost` over many distinct
-    operators) holds no stage arrays.  Scalars and flat arrays go through
-    the same stage functions without the table or the memo.
+    `evaluate_tilings` and `fits_caches_mask` compose the stages once for
+    every shape, each stage call going through `_memoized`.  On an
+    operator's own candidate grid it memoizes each stage's outputs (and the
+    energy base, keyed on the constants) in the operator's table, one slot
+    per stage: the last key asked for and its outputs, read-only like the
+    table's arrays.  A request with that key is served from the slot; any
+    other key replaces it.  An operator's first request of a stage stores
+    only the key, so an operator costed once (`cost` over many distinct
+    operators) holds no stage arrays.  Off the grid, for scalars and flat
+    arrays, there is no table: `_memoized` simply computes the stage.
 
 Each element sees the same float operations in every shape, integers are
 exact in int64 and byte counts are exact multiples of 1/8 in float64 (for
@@ -362,12 +368,21 @@ def _config_free_terms(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _Terms
 
 class _GridTable(NamedTuple):
     """An operator's candidate grid, its config-independent terms, and the
-    stage memo: per stage name, one slot `(key, outputs)` (see `_memoized`)."""
+    stage memo: per stage name, one slot `(key, outputs)` (see `_memoized`).
 
-    grid: tuple  # (t_oc, t_ic, t_oh, t_ow), an open grid
+    The table is the one owner of the candidates' order.  Raveled, the grid
+    runs lexicographically in (t_oc, t_ic, t_oh, t_ow), the order ties
+    break in, and `plan` maps a raveled index to its tiling."""
+
+    grid: tuple  # an open grid in `TilingPlan` field order (t_oc, t_ic, t_ow, t_oh)
+    cells: tuple  # the grid broadcast to its full shape: views, no copies
     terms: _Terms
     clipped: tuple  # clipped (act, wgt, out) tile bytes, the fit mask's input
     memo: dict
+
+    def plan(self, index) -> TilingPlan:
+        """The candidate at `index` of the raveled grid."""
+        return TilingPlan(*(int(field.flat[index]) for field in self.cells))
 
 
 def _freeze(value):
@@ -386,16 +401,16 @@ def _freeze(value):
 
 @lru_cache(maxsize=256)
 def _grid_table(op: OperatorDescriptor) -> _GridTable:
-    """The open grid of the operator's candidate tile sizes, one int64 axis
-    per dimension in the order (t_oc, t_ic, t_oh, t_ow), with every term
-    computed on it that does not depend on the config, and an empty stage
-    memo.  Every array is read-only, those the memo will hold too, so no
-    caller can change what later calls read."""
+    """The operator's `_GridTable`: the open grid of its candidate tile
+    sizes, int64, with every term computed on it that does not depend on
+    the config, and an empty stage memo.  Every array is read-only, those
+    the memo will hold too, so no caller can change what later calls read."""
     dims = (op.out_channels, op.in_channels, op.out_rows, op.out_rows)
     axes = (np.asarray(tile_size_choices(d), dtype=np.int64) for d in dims)
-    t_oc, t_ic, t_oh, t_ow = grid = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-    return _freeze(_GridTable(grid, _config_free_terms(op, t_oc, t_ic, t_ow, t_oh),
-                              _clipped_tile_bytes(op, t_oc, t_ic, t_ow, t_oh), {}))
+    t_oc, t_ic, t_oh, t_ow = np.meshgrid(*axes, indexing="ij", sparse=True)
+    grid = (t_oc, t_ic, t_ow, t_oh)
+    return _freeze(_GridTable(grid, tuple(np.broadcast_arrays(*grid)),
+                              _config_free_terms(op, *grid), _clipped_tile_bytes(op, *grid), {}))
 
 
 def _grid_table_of(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _GridTable | None:
@@ -404,7 +419,7 @@ def _grid_table_of(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _GridTable
     if type(t_oc) is not np.ndarray:
         return None
     table = _grid_table(op)
-    g_oc, g_ic, g_oh, g_ow = table.grid
+    g_oc, g_ic, g_ow, g_oh = table.grid
     if t_oc is g_oc and t_ic is g_ic and t_ow is g_ow and t_oh is g_oh:
         return table
     return None
@@ -484,22 +499,11 @@ def _energy_base(op: OperatorDescriptor, constants: CostConstants, terms: _Terms
     return mac_pj + sram_bytes * constants.e_sram_pj_per_byte
 
 
-class _Traffic(NamedTuple):
-    """The traffic-and-energy stage's outputs."""
-
-    fetches: dict  # per operand
-    act_bytes: object
-    wgt_bytes: object
-    out_bytes: object
-    total_bytes: object
-    mem_cycles: object
-    energy_mj: object
-
-
 def _traffic(dataflow: Dataflow, loop_order: str, constants: CostConstants, terms: _Terms,
-             energy_base) -> _Traffic:
+             energy_base) -> dict:
     """Traffic-and-energy stage: fetch counts under the re-fetch rule, DRAM
-    bytes per operand and in total, memory cycles, and the energy."""
+    bytes per operand and in total, memory cycles, and the energy; its
+    entries of the `evaluate_tilings` output."""
     factors = _refetch_factors(dataflow, loop_order, terms.counts, terms.multi)
     fetches = {operand: uniq if factors[operand] is _ONE else uniq * factors[operand]
                for operand, uniq in terms.unique.items()}
@@ -507,45 +511,43 @@ def _traffic(dataflow: Dataflow, loop_order: str, constants: CostConstants, term
     wgt_b = _cast(fetches["wgt"], np.float64) * terms.wgt_tile
     out_b = terms.unique_out_bytes * _cast(2 * factors["out"] - 1, np.float64)
     total_b = act_b + wgt_b + out_b
-    mem_cycles = _cast(np.ceil(total_b / constants.dram_bw_bytes_per_cycle), np.int64)
-    energy_mj = (energy_base + total_b * constants.e_dram_pj_per_byte) * 1e-9
-    return _Traffic(fetches, act_b, wgt_b, out_b, total_b, mem_cycles, energy_mj)
-
-
-def _combine(compute, traffic: _Traffic, f_clk_mhz: float, terms: _Terms) -> dict:
-    """Combine stage, computed for every config: cycles as the larger of
-    compute and memory cycles, and latency; the outputs of
-    `evaluate_tilings`."""
-    cycles = np.maximum(compute, traffic.mem_cycles)
-    latency_ms = _cast(cycles, np.float64) / (f_clk_mhz * 1000.0)
     return {
-        "cycles": cycles,
-        "compute_cycles": compute,
-        "mem_cycles": traffic.mem_cycles,
-        "latency_ms": latency_ms,
-        "energy_mj": traffic.energy_mj,
-        "dram_bytes": traffic.total_bytes,
-        "act_bytes": traffic.act_bytes,
-        "wgt_bytes": traffic.wgt_bytes,
-        "out_bytes": traffic.out_bytes,
-        "act_fetches": traffic.fetches["act"],
-        "wgt_fetches": traffic.fetches["wgt"],
-        "out_fetches": traffic.fetches["out"],
+        "mem_cycles": _cast(np.ceil(total_b / constants.dram_bw_bytes_per_cycle), np.int64),
+        "energy_mj": (energy_base + total_b * constants.e_dram_pj_per_byte) * 1e-9,
+        "dram_bytes": total_b,
+        "act_bytes": act_b,
+        "wgt_bytes": wgt_b,
+        "out_bytes": out_b,
+        "act_fetches": fetches["act"],
+        "wgt_fetches": fetches["wgt"],
+        "out_fetches": fetches["out"],
         "out_unique_tiles": terms.unique["out"],
     }
 
 
-def _memoized(table: _GridTable, stage: str, key, compute):
-    """The outputs of `stage` under `key`: read from the operator's one slot
-    for the stage if it holds that key, else `compute()`, which then fills
-    the slot, read-only, in place of what it held.  On the operator's first
-    request of the stage the slot keeps the key alone, so an operator costed
-    once holds no stage arrays.  A slot is replaced whole, as one tuple, so
-    no reader pairs one key with another key's outputs."""
+def _combine(compute, traffic: dict, f_clk_mhz: float) -> dict:
+    """Combine stage, computed for every config: the traffic stage's entries
+    plus compute cycles, cycles as the larger of compute and memory cycles,
+    and latency; the outputs of `evaluate_tilings`."""
+    cycles = np.maximum(compute, traffic["mem_cycles"])
+    return {"cycles": cycles, "compute_cycles": compute,
+            "latency_ms": _cast(cycles, np.float64) / (f_clk_mhz * 1000.0), **traffic}
+
+
+def _memoized(table: _GridTable | None, stage: str, key: tuple, function, *args):
+    """The outputs of `stage`, `function(*args)`, under `key`: read from the
+    operator's one slot for the stage if it holds that key, else computed,
+    filling the slot, read-only, in place of what it held.  On the
+    operator's first request of the stage the slot keeps the key alone, so
+    an operator costed once holds no stage arrays.  A slot is replaced
+    whole, as one tuple, so no reader pairs one key with another key's
+    outputs.  Off the grid (`table` None) the stage is simply computed."""
+    if table is None:
+        return function(*args)
     slot = table.memo.get(stage)
     if slot is not None and slot[1] is not None and slot[0] == key:
         return slot[1]
-    outputs = compute()
+    outputs = function(*args)
     table.memo[stage] = (key, None if slot is None else _freeze(outputs))
     return outputs
 
@@ -576,17 +578,14 @@ def evaluate_tilings(
     if table is None:
         t_oc, t_ic, t_ow, t_oh = map(_as_i64, (t_oc, t_ic, t_ow, t_oh))
         terms = _config_free_terms(op, t_oc, t_ic, t_ow, t_oh)
-        compute = _compute_cycles(op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, terms.counts)
-        traffic = _traffic(dataflow, loop_order, constants, terms,
-                           _energy_base(op, constants, terms))
     else:
         terms = table.terms
-        compute = _memoized(table, "compute", (pe_x, pe_y, dataflow), lambda: _compute_cycles(
-            op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, terms.counts))
-        traffic = _memoized(table, "traffic", (dataflow, loop_order, constants), lambda: _traffic(
-            dataflow, loop_order, constants, terms,
-            _memoized(table, "energy_base", constants, lambda: _energy_base(op, constants, terms))))
-    return _combine(compute, traffic, constants.f_clk_mhz, terms)
+    compute = _memoized(table, "compute", (pe_x, pe_y, dataflow), _compute_cycles,
+                        op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, terms.counts)
+    energy_base = _memoized(table, "energy_base", (constants,), _energy_base, op, constants, terms)
+    traffic = _memoized(table, "traffic", (dataflow, loop_order, constants), _traffic,
+                        dataflow, loop_order, constants, terms, energy_base)
+    return _combine(compute, traffic, constants.f_clk_mhz)
 
 
 def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
@@ -595,8 +594,10 @@ def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic,
     key = (cfg.act_cache_kb, cfg.wgt_cache_kb, cfg.out_cache_kb)
     table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
     if table is None:
-        return _fit_mask(_clipped_tile_bytes(op, *map(_as_i64, (t_oc, t_ic, t_ow, t_oh))), *key)
-    return _memoized(table, "fit", key, lambda: _fit_mask(table.clipped, *key))
+        clipped = _clipped_tile_bytes(op, *map(_as_i64, (t_oc, t_ic, t_ow, t_oh)))
+    else:
+        clipped = table.clipped
+    return _memoized(table, "fit", key, _fit_mask, clipped, *key)
 
 
 def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.generic]:

@@ -71,6 +71,10 @@ def featurize_subnet(subnet: SubnetDescriptor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """The search engines' budget and hyperparameters.  Each `int` field is a
+    plain `int` (not a `bool`, float or numpy integer), the counts positive;
+    each `float` field is finite."""
+
     max_evaluations: int = 1000
     seed: int = 0
     # annealing
@@ -85,11 +89,14 @@ class SearchBudget:
     baseline_decay: float = 0.9
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.max_evaluations < 1 or self.steps < 1 or self.samples_per_step < 1:
             raise ValueError("budget counts must be positive")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.gumbel_tau <= 0:
             raise ValueError("gumbel_tau must be positive")
         if not 0 <= self.baseline_decay <= 1:

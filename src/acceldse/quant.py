@@ -140,13 +140,16 @@ def gumbel_softmax(
     softmax(logits).  ``paper`` adds plain uniform noise in [0, 1) instead.
     An explicit ``noise`` array overrides sampling; with neither ``noise`` nor
     ``rng`` given the perturbation is zero and the result is the plain
-    tempered softmax.
+    tempered softmax.  ``tau`` must be positive (not NaN) and ``logits``
+    not empty.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if mode not in ("paper", "standard"):
         raise ValueError(f"mode must be 'paper' or 'standard', got {mode!r}")
     z = np.asarray(logits, dtype=np.float64)
+    if z.size == 0:
+        raise ValueError("cannot relax empty logits: they name no category")
     if noise is None:
         if rng is None:
             eps = np.zeros_like(z)
@@ -179,10 +182,13 @@ def topk_channels(importance, k_percent: float) -> np.ndarray:
 
     Selects max(1, floor(k_percent/100 * C)) channels for k_percent > 0 and
     none for k_percent == 0.  Ties break toward the lower channel index.
+    ``importance`` is 1-D, one score per channel.
     """
     if not 0 <= k_percent <= 100:
         raise ValueError(f"k_percent must be in [0, 100], got {k_percent}")
     imp = np.asarray(importance, dtype=np.float64)
+    if imp.ndim != 1:
+        raise ValueError(f"importance must be 1-D, one score per channel, got ndim={imp.ndim}")
     n = imp.shape[0]
     if k_percent == 0:
         return np.array([], dtype=np.int64)
@@ -245,12 +251,17 @@ def memory_model(m: int, k_percent: float, n_ops: int, act_bytes: float) -> Memo
     (1 + m) * act_bytes; quantizing only k percent of channels shrinks the
     quantized copies to m * k/100.  The model ignores quantizer metadata and
     allocator overhead, so measured savings typically exceed the ratio
-    reported here.
+    reported here.  ``n_ops`` is at least 1 and ``act_bytes`` finite and
+    positive, so both byte counts are positive and the ratio is defined.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if not 0 <= k_percent <= 100:
         raise ValueError(f"k_percent must be in [0, 100], got {k_percent}")
+    if n_ops < 1:
+        raise ValueError(f"n_ops must be >= 1, got {n_ops}")
+    if not (math.isfinite(act_bytes) and act_bytes > 0):
+        raise ValueError(f"act_bytes must be finite and positive, got {act_bytes}")
     naive = n_ops * act_bytes * (1 + m)
     sparse = n_ops * act_bytes * (1 + m * k_percent / 100.0)
     return MemoryEstimate(naive_bytes=naive, sparse_bytes=sparse, ratio=naive / sparse)

@@ -1,13 +1,16 @@
 """Tiling enumeration and per-operator mapping search.
 
 An operator's candidate tilings are the open grid of its per-dimension tile
-sizes, (t_oc, t_ic, t_oh, t_ow) in lexicographic order.  `batch_search`
-passes that grid to the cost estimator whole: the cache-fit mask and the
-costs are computed on the grid's axes, infeasible candidates score +inf, and
-the argmin over the raveled grid is the earliest cheapest feasible tiling.
-The `oracle_search` reference walks the same candidates, raveled from the
-same grid, strictly sequentially and exists so the batched path can be
-checked for exact equivalence.  Both rank tilings by one objective,
+sizes held by its cost table (`costmodel._grid_table`), which alone knows
+their order: (t_oc, t_ic, t_oh, t_ow) ascending, lexicographically.
+`batch_search` passes that grid to the cost estimator whole: the cache-fit
+mask and the costs are computed on the grid's axes, infeasible candidates
+score +inf, and the argmin over the raveled grid is the earliest cheapest
+feasible tiling.  The `oracle_search` reference costs the feasible
+candidates of `enumerate_tilings` one by one, strictly sequentially, and
+exists so the batched path can be checked for exact equivalence.  Both
+walk the candidates through the table's map from a position in the raveled
+grid to a tiling (`_GridTable.plan`).  Both rank tilings by one objective,
 `_objective`: the weighted energy and latency, without the area term, which
 no tiling changes.  Results aggregate from operators to subnets in
 `map_subnet`.
@@ -53,22 +56,11 @@ class SubnetMapping:
     wall_time_s: float
 
 
-def _candidate_arrays(op: OperatorDescriptor):
-    """All raw tile-size candidates, the operator's open grid (`_grid_table`)
-    raveled, lexicographic ascending on (t_oc, t_ic, t_oh, t_ow); returned in
-    `TilingPlan` field order."""
-    t_oc, t_ic, t_oh, t_ow = (g.ravel() for g in np.broadcast_arrays(*_grid_table(op).grid))
-    return t_oc, t_ic, t_ow, t_oh
-
-
 def enumerate_tilings(op: OperatorDescriptor, cfg: AcceleratorConfig) -> list[TilingPlan]:
     """Feasible tilings in deterministic (t_oc, t_ic, t_oh, t_ow) ascending order."""
-    t_oc, t_ic, t_ow, t_oh = _candidate_arrays(op)
-    mask = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
-    return [
-        TilingPlan(int(a), int(b), int(c), int(d))
-        for a, b, c, d in zip(t_oc[mask], t_ic[mask], t_ow[mask], t_oh[mask])
-    ]
+    table = _grid_table(op)
+    mask = fits_caches_mask(op, cfg, *table.grid)
+    return [table.plan(index) for index in np.flatnonzero(mask)]
 
 
 def _objective(energy_mj, latency_ms, weights: CostWeights | None):
@@ -97,16 +89,14 @@ def batch_search(
     """
     t0 = time.perf_counter()
     constants = constants or CostConstants()
-    t_oc, t_ic, t_oh, t_ow = grid = _grid_table(op).grid
-    mask = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    table = _grid_table(op)
+    mask = fits_caches_mask(op, cfg, *table.grid)
     n_feasible = int(np.count_nonzero(mask))
     if n_feasible == 0:
         raise _no_fit(op, cfg)
-    out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
+    out = evaluate_tilings(op, cfg, *table.grid, constants=constants)
     costs = _objective(out["energy_mj"], out["latency_ms"], weights)
-    idx = np.unravel_index(int(np.argmin(np.where(mask, costs, np.inf))), mask.shape)
-    b_oc, b_ic, b_oh, b_ow = (int(g.flat[i]) for g, i in zip(grid, idx))
-    best = TilingPlan(b_oc, b_ic, b_ow, b_oh)
+    best = table.plan(np.argmin(np.where(mask, costs, np.inf)))
     breakdown = estimate_cost(op, cfg, best, constants)
     return TilingSearchResult(
         best=best,

@@ -269,5 +269,4 @@ def test_range_corner_is_exact(op):
                 cycles, dram_bits = exact_cycles_and_dram_bits(op, cfg, tile)
                 assert int(out["cycles"]) == cycles
                 assert Fraction(float(out["dram_bytes"])) * 8 == dram_bits
-            grid = _grid_table(op).grid
-            evaluate_tilings(op, cfg, grid[0], grid[1], grid[3], grid[2])
+            evaluate_tilings(op, cfg, *_grid_table(op).grid)

@@ -125,12 +125,12 @@ def test_walker_matches_at_range_edges(case):
     walked = walk_traffic(op, cfg, tile)
     walked["dram_bytes"] = sum(walked[f"{operand}_bytes"] for operand in ("act", "wgt", "out"))
     outputs = [evaluate_tilings(op, cfg, *map(np.int64, tile.as_tuple()))]
-    t_oc, t_ic, t_oh, t_ow = grid = _grid_table(op).grid
-    cell = tuple(TILE_SIZES.index(t) for t in (tile.t_oc, tile.t_ic, tile.t_oh, tile.t_ow))
-    shape = np.broadcast_shapes(*(g.shape for g in grid))
-    if all(i < n for i, n in zip(cell, shape)):
-        on_grid = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh)
-        outputs.append({name: np.broadcast_to(values, shape)[cell]
+    grid = _grid_table(op).grid
+    # the tile's cell of the grid, empty if the tile is not a candidate
+    cell = np.logical_and.reduce(np.broadcast_arrays(*map(np.equal, grid, tile.as_tuple())))
+    if cell.any():
+        on_grid = evaluate_tilings(op, cfg, *grid)
+        outputs.append({name: np.broadcast_to(values, cell.shape)[cell].item()
                         for name, values in on_grid.items()})
     for out in outputs:
         for operand in ("act", "wgt", "out"):

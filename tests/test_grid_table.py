@@ -1,6 +1,7 @@
 """The per-operator grid table: closed form on the grid against the loop-nest
 walker, the cache-growth law, a cache no caller can corrupt, the field
-separability of the cost stages, and the stage memo's one slot per stage."""
+separability of the cost stages, the monotonicity of one tiling's cost, and
+the stage memo's one slot per stage."""
 
 import inspect
 from dataclasses import fields, replace
@@ -24,7 +25,8 @@ from acceldse import (
 )
 from acceldse import costmodel
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
-from acceldse.costmodel import CostConstants, _grid_table, evaluate_tilings, fits_caches_mask
+from acceldse.costmodel import (TILE_SIZES, CostConstants, _grid_table, evaluate_tilings,
+                                fits_caches_mask)
 from conftest import PROPERTY, REF_CFG, REF_OP
 from nestwalk import walk_traffic
 
@@ -67,9 +69,9 @@ CACHES = ("act_cache_kb", "wgt_cache_kb", "out_cache_kb")
 
 def grid_outputs(op, cfg, constants=None):
     """`evaluate_tilings` and `fits_caches_mask` on the operator's own grid."""
-    t_oc, t_ic, t_oh, t_ow = _grid_table(op).grid
-    out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
-    out["fits"] = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    grid = _grid_table(op).grid
+    out = evaluate_tilings(op, cfg, *grid, constants=constants)
+    out["fits"] = fits_caches_mask(op, cfg, *grid)
     return out
 
 
@@ -77,9 +79,9 @@ def fresh_outputs(op, cfg, constants=None):
     """`grid_outputs` evaluated afresh: on copies of the operator's grid, the
     same open grid but not the table's arrays, so neither the table nor its
     stage memo is read."""
-    t_oc, t_ic, t_oh, t_ow = (g.copy() for g in _grid_table(op).grid)
-    out = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh, constants=constants)
-    out["fits"] = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    grid = [g.copy() for g in _grid_table(op).grid]
+    out = evaluate_tilings(op, cfg, *grid, constants=constants)
+    out["fits"] = fits_caches_mask(op, cfg, *grid)
     return out
 
 
@@ -112,8 +114,8 @@ def test_grid_matches_loop_nest_walker(op, cfg):
     shape = np.broadcast_shapes(*(g.shape for g in grid))
     out = {name: np.broadcast_to(values, shape) for name, values in grid_outputs(op, cfg).items()}
     for cell in np.ndindex(shape):
-        t_oc, t_ic, t_oh, t_ow = (int(np.broadcast_to(g, shape)[cell]) for g in grid)
-        walked = walk_traffic(op, cfg, TilingPlan(t_oc, t_ic, t_ow, t_oh))
+        walked = walk_traffic(op, cfg, TilingPlan(*(int(np.broadcast_to(g, shape)[cell])
+                                                    for g in grid)))
         for operand in ("act", "wgt", "out"):
             assert out[f"{operand}_fetches"][cell] == walked["events"][operand], (operand, cell)
             assert out[f"{operand}_bytes"][cell] == walked[f"{operand}_bytes"], (operand, cell)
@@ -217,6 +219,58 @@ def test_a_field_change_moves_only_the_stages_that_read_it(op, cfg, other, chang
     assert_same_bits(fresh_outputs(op, moved), fresh_outputs(op, cfg), SEPARABLE[changed])
 
 
+tiles = st.builds(TilingPlan, *[st.sampled_from(TILE_SIZES)] * 4)
+
+
+def on_grid_and_scalars(op, cfg, tile, constants=None):
+    """The outputs on the operator's memoized grid, and at one tiling as
+    int64 scalars."""
+    return (grid_outputs(op, cfg, constants),
+            evaluate_tilings(op, cfg, *map(np.int64, tile.as_tuple()), constants=constants))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(operators, configs, st.sampled_from(("pe_x", "pe_y")), st.sampled_from(PE_CHOICES), tiles)
+def test_more_pes_never_add_compute_cycles(op, cfg, name, value, tile):
+    """Inequality, exact: compute cycles do not increase as `pe_x` or `pe_y`
+    grows, the dataflow unchanged."""
+    larger = replace(cfg, **{name: max(value, getattr(cfg, name))})
+    for fewer, more in zip(on_grid_and_scalars(op, cfg, tile),
+                           on_grid_and_scalars(op, larger, tile)):
+        assert np.all(more["compute_cycles"] <= fewer["compute_cycles"])
+
+
+# Per cost constant, the output that moves with it and the way it moves as
+# the constant grows: -1 never up, +1 never down.
+CONSTANT_LAWS = {
+    "dram_bw_bytes_per_cycle": ("mem_cycles", -1),
+    "f_clk_mhz": ("latency_ms", -1),
+    "e_mac_pj": ("energy_mj", 1),
+    "e_sram_pj_per_byte": ("energy_mj", 1),
+    "e_dram_pj_per_byte": ("energy_mj", 1),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_LAWS)
+@settings(PROPERTY, max_examples=40)
+@given(op=operators, cfg=configs, tile=tiles, data=st.data())
+def test_a_growing_constant_moves_its_output_one_way(name, op, cfg, tile, data):
+    """Inequalities, exact, for two values of one constant across its range:
+    memory cycles do not increase as the DRAM bandwidth grows, latency does
+    not increase as the clock grows, and energy does not decrease as any
+    energy constant grows."""
+    output, way = CONSTANT_LAWS[name]
+    values = st.floats(2.0**-13 if name == "dram_bw_bytes_per_cycle" else 2.0**-64, 2.0**64)
+    low, high = sorted(data.draw(st.tuples(values, values)))
+    at_low, at_high = (on_grid_and_scalars(op, cfg, tile, replace(CostConstants(), **{name: v}))
+                       for v in (low, high))
+    for before, after in zip(at_low, at_high):
+        if way > 0:
+            assert np.all(before[output] <= after[output])
+        else:
+            assert np.all(after[output] <= before[output])
+
+
 CONFIG_FIELDS = tuple(f.name for f in fields(AcceleratorConfig))
 DOMAINS = dict(zip(CONFIG_FIELDS, ParamSpace().candidates))  # the full space
 # the default constants, an equal but distinct instance, and other constants
@@ -276,7 +330,7 @@ def test_each_stage_keeps_one_slot():
     out = grid_outputs(REF_OP, cfg)
     assert out["fits"] is table.memo["fit"][1]
     assert out["compute_cycles"] is table.memo["compute"][1]
-    assert out["energy_mj"] is table.memo["traffic"][1].energy_mj
+    assert out["energy_mj"] is table.memo["traffic"][1]["energy_mj"]
 
 
 # The config fields each stage function reads: its key.

@@ -263,3 +263,21 @@ def test_config_built_once_per_distinct_choices(engine, small_subnet, reduced_sp
         assert len(scored) > len(distinct)  # revisits, which must build no config
     assert len(built) == len(distinct) + 1
     assert built == distinct + [choices_of(space, result.config)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_evaluations", 10.5),
+    ("max_evaluations", True),
+    ("max_evaluations", np.int64(10)),
+    ("seed", 1.0),
+    ("seed", False),
+    ("steps", 2.5),
+    ("samples_per_step", 4.0),
+])
+def test_budget_refuses_an_integer_field_that_is_not_an_int(field, value):
+    """A float count would fail inside the engines, and `True` would come
+    back as the reported number of evaluations, so every `int` field takes
+    plain ints only."""
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        SearchBudget(**{field: value})
+

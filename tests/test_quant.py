@@ -369,3 +369,39 @@ def test_quantize_channels_refuses_empty_activations_whatever_the_selection(shap
     channels = {"none": [], "one": [0], "all": list(range(shape[1]))}[selection]
     with pytest.raises(ValueError, match="^cannot quantize empty activations"):
         quantize_channels(np.zeros(shape), channels, [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize("tau", [float("nan"), 0.0, -1.0])
+def test_gumbel_softmax_refuses_a_tau_that_is_not_positive(tau):
+    """NaN compares false with 0, so it is refused by the same test as a
+    non-positive tau, not relaxed into all-NaN probabilities."""
+    with pytest.raises(ValueError, match="tau must be positive"):
+        gumbel_softmax([1.0, 2.0], tau)
+
+
+@pytest.mark.parametrize("logits", [[], np.zeros((0, 3))])
+def test_gumbel_softmax_refuses_empty_logits(logits):
+    with pytest.raises(ValueError, match="cannot relax empty logits"):
+        gumbel_softmax(logits, 1.0)
+
+
+@pytest.mark.parametrize("importance", [np.float64(2.0), np.ones((2, 2)), [[0.5, 1.0]]])
+def test_topk_channels_refuses_importance_that_is_not_1d(importance):
+    with pytest.raises(ValueError, match="importance must be 1-D"):
+        topk_channels(importance, 50)
+
+
+@pytest.mark.parametrize("n_ops, act_bytes, match", [
+    (0, 1.0, "n_ops must be >= 1"),
+    (-2, 1.0, "n_ops must be >= 1"),
+    (3, 0.0, "act_bytes must be finite and positive"),
+    (3, -5.0, "act_bytes must be finite and positive"),
+    (3, float("nan"), "act_bytes must be finite and positive"),
+    (3, float("inf"), "act_bytes must be finite and positive"),
+])
+def test_memory_model_refuses_sizes_without_a_defined_ratio(n_ops, act_bytes, match):
+    """A zero, negative or non-finite size would divide by zero or give
+    negative or NaN byte counts."""
+    with pytest.raises(ValueError, match=match):
+        memory_model(3, 50, n_ops, act_bytes)
+    assert memory_model(3, 50, 1, 1.0).ratio == 4 / 2.5

@@ -1,8 +1,9 @@
+import itertools
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acceldse import (
@@ -28,7 +29,6 @@ from acceldse import (
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
 from acceldse.costmodel import CostWeights, _grid_table, evaluate_tilings, fits_caches_mask
-from acceldse.tiling import _candidate_arrays
 from conftest import compute_cycles
 
 CFG = AcceleratorConfig(16, 16, 128, 128, 128, Dataflow.WS, "BIHWO")
@@ -258,11 +258,11 @@ tiny_operators = st.builds(
 def test_grid_evaluation_matches_flat(op, cfg):
     """Every output on the open grid, broadcast and raveled, equals the
     output on the flat candidate arrays bit for bit."""
-    t_oc, t_ic, t_oh, t_ow = grid = _grid_table(op).grid
-    flat = _candidate_arrays(op)[:4]
+    grid = _grid_table(op).grid
+    flat = [g.ravel() for g in np.broadcast_arrays(*grid)]
     shape = np.broadcast_shapes(*(g.shape for g in grid))
-    on_grid = evaluate_tilings(op, cfg, t_oc, t_ic, t_ow, t_oh)
-    on_grid["fits"] = fits_caches_mask(op, cfg, t_oc, t_ic, t_ow, t_oh)
+    on_grid = evaluate_tilings(op, cfg, *grid)
+    on_grid["fits"] = fits_caches_mask(op, cfg, *grid)
     on_flat = evaluate_tilings(op, cfg, *flat)
     on_flat["fits"] = fits_caches_mask(op, cfg, *flat)
     assert len(on_flat) == 14 and on_grid.keys() == on_flat.keys()
@@ -293,3 +293,47 @@ def test_scalar_views_match_flat_rows(op, cfg):
             value = getattr(traffic, f.name)
             row = rows["dram_bytes" if f.name == "total_bytes" else f.name][i]
             assert type(value) is type(row.item()) and repr(value) == repr(row.item()), f.name
+
+
+def product_walk(op, cfg):
+    """The feasible tilings by a pure-Python walk, independent of the grid
+    table: every combination of `tile_size_choices`, t_oc outermost and t_ow
+    innermost, kept where the scalar `fits_caches_mask` holds; and the
+    number of combinations."""
+    dims = (op.out_channels, op.in_channels, op.out_rows, op.out_rows)
+    combinations = list(itertools.product(*map(tile_size_choices, dims)))
+    plans = [TilingPlan(t_oc, t_ic, t_ow, t_oh) for t_oc, t_ic, t_oh, t_ow in combinations
+             if fits_caches_mask(op, cfg, *map(np.int64, (t_oc, t_ic, t_ow, t_oh)))]
+    return plans, len(combinations)
+
+
+def test_enumeration_order_is_the_product_walk_reference_op(ref_op):
+    cfg = AcceleratorConfig(16, 16, 96, 96, 96, Dataflow.WS, "BIHWO")
+    plans, n_candidates = product_walk(ref_op, cfg)
+    assert 0 < len(plans) < n_candidates == 1936
+    assert enumerate_tilings(ref_op, cfg) == plans
+
+
+# Wide channels and few rows: masks of every kind, at most 11 * 11 * 5 * 5
+# candidates to walk one by one.
+walk_operators = st.builds(
+    OperatorDescriptor,
+    kernel=st.integers(1, 11),
+    stride=st.integers(1, 4),
+    out_rows=st.integers(1, 16),
+    in_channels=st.integers(1, 2000),
+    out_channels=st.integers(1, 2000),
+    act_bits=st.sampled_from([2, 4, 8]),
+    wgt_bits=st.sampled_from([2, 4, 8]),
+)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(walk_operators, configs)
+def test_enumeration_order_is_the_product_walk(op, cfg):
+    """Exact: where some but not all candidates fit, `enumerate_tilings`
+    lists the feasible ones in (t_oc, t_ic, t_oh, t_ow) lexicographic order,
+    the order ties break in."""
+    plans, n_candidates = product_walk(op, cfg)
+    assume(0 < len(plans) < n_candidates)
+    assert enumerate_tilings(op, cfg) == plans
