@@ -136,7 +136,7 @@ class AreaConstants:
     fixed_mm2: float = 0.1
 
     def __post_init__(self):
-        check_range(self, dict.fromkeys(("per_pe_mm2", "per_kb_mm2", "fixed_mm2"), 0.0),
+        check_range(self, dict.fromkeys((f.name for f in fields(self)), 0.0),
                     "the area constants' range")
 
 
@@ -195,17 +195,10 @@ class ParamSpace:
         return tuple(len(values) for values in self.candidates)
 
     def config_at(self, choices) -> AcceleratorConfig:
-        """Build a config from per-field candidate indices."""
-        c0, c1, c2, c3, c4, c5, c6 = choices
-        return AcceleratorConfig(
-            self.pe_x[c0],
-            self.pe_y[c1],
-            self.act_cache_kb[c2],
-            self.wgt_cache_kb[c3],
-            self.out_cache_kb[c4],
-            self.dataflows[c5],
-            self.loop_orders[c6],
-        )
+        """Build a config from per-field candidate indices, one per field
+        (`ValueError` for any other count)."""
+        return AcceleratorConfig(*(values[i] for values, i in
+                                   zip(self.candidates, choices, strict=True)))
 
 
 def space_cardinality(space: ParamSpace) -> int:

@@ -145,7 +145,7 @@ class TilingPlan:
     t_oh: int
 
     def __post_init__(self):
-        for name in ("t_oc", "t_ic", "t_ow", "t_oh"):
+        for name in TILING_FIELDS:
             value = getattr(self, name)
             if type(value) is not int or value not in TILE_SIZES:
                 raise ValueError(
@@ -210,7 +210,7 @@ class CostWeights:
     lambda_a: float = 0.33
 
     def __post_init__(self):
-        check_range(self, dict.fromkeys(("lambda_e", "lambda_l", "lambda_a"), 0.0),
+        check_range(self, dict.fromkeys((f.name for f in fields(self)), 0.0),
                     "the weights' range")
 
 

@@ -156,7 +156,6 @@ class GeneratorNet:
     def __init__(self, space: ParamSpace, hidden: int = 128, n_blocks: int = 5, seed: int = 0):
         self.space = space
         self.hidden = hidden
-        self.n_blocks = n_blocks
         rng = np.random.default_rng(seed)
 
         def init(fan_in, shape):
@@ -183,6 +182,13 @@ class GeneratorNet:
     def head_sizes(self) -> tuple[int, ...]:
         return tuple(head["q"].shape[0] for head in self.heads)
 
+    def parameters(self) -> list[np.ndarray]:
+        """Every weight array of the net, once each: the input layer's, each
+        block's (u, c, v, d) and each head's (p, q).  `backward` returns the
+        gradients in this order."""
+        return [self.w_in, self.b_in, *(blk[key] for blk in self.blocks for key in "ucvd"),
+                *(head[key] for head in self.heads for key in "pq")]
+
     def forward(self, feats: np.ndarray):
         x = np.asarray(feats, dtype=np.float64)
         if x.shape != (self.N_FEATURES,):
@@ -199,37 +205,25 @@ class GeneratorNet:
         cache = (x, z0, block_cache, a)
         return logits, cache
 
-    def backward(self, cache, dlogits):
+    def backward(self, cache, dlogits) -> list[np.ndarray]:
+        """The gradient of each weight array, in `parameters()` order."""
         x, z0, block_cache, a_final = cache
-        grads = {"heads": [], "blocks": [None] * self.n_blocks}
+        head_grads = []
         da = np.zeros_like(a_final)
         for head, dl in zip(self.heads, dlogits):
-            grads["heads"].append({"p": np.outer(dl, a_final), "q": dl.copy()})
+            head_grads += [np.outer(dl, a_final), dl.copy()]
             da = da + head["p"].T @ dl
-        for j in range(self.n_blocks - 1, -1, -1):
-            a_in, zh, hh = block_cache[j]
-            blk = self.blocks[j]
-            dv = np.outer(da, hh)
-            dd = da.copy()
+        block_grads = []
+        for blk, (a_in, zh, hh) in zip(reversed(self.blocks), reversed(block_cache)):
             dzh = (blk["v"].T @ da) * (zh > 0)
-            du = np.outer(dzh, a_in)
-            dc = dzh.copy()
-            grads["blocks"][j] = {"u": du, "c": dc, "v": dv, "d": dd}
+            block_grads[:0] = [np.outer(dzh, a_in), dzh, np.outer(da, hh), da]
             da = da + blk["u"].T @ dzh
         dz0 = da * (z0 > 0)
-        grads["w_in"] = np.outer(dz0, x)
-        grads["b_in"] = dz0
-        return grads
+        return [np.outer(dz0, x), dz0, *block_grads, *head_grads]
 
     def sgd_step(self, grads, lr: float):
-        self.w_in -= lr * grads["w_in"]
-        self.b_in -= lr * grads["b_in"]
-        for blk, g in zip(self.blocks, grads["blocks"]):
-            for key in ("u", "c", "v", "d"):
-                blk[key] -= lr * g[key]
-        for head, g in zip(self.heads, grads["heads"]):
-            head["p"] -= lr * g["p"]
-            head["q"] -= lr * g["q"]
+        for w, g in zip(self.parameters(), grads, strict=True):
+            w -= lr * g
 
 
 def generator_forward(
@@ -360,9 +354,7 @@ def update_bound(net: GeneratorNet, cache) -> tuple[float, float]:
         terms += [da * amax(hh), dzh * amax(a_in), dzh]
         da = da + colsum(blk["u"]) * dzh
     terms += [da * amax(x), da]
-    weights = [net.w_in, net.b_in, *(blk[key] for blk in net.blocks for key in "ucvd"),
-               *(head[key] for head in net.heads for key in "pq")]
-    floor = np.min([np.spacing(np.abs(w)).min() for w in weights]) / 4
+    floor = np.min([np.spacing(np.abs(w)).min() for w in net.parameters()]) / 4
     return float(np.max(terms)), float(floor)
 
 

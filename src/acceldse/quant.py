@@ -141,7 +141,9 @@ def gumbel_softmax(
     An explicit ``noise`` array overrides sampling; with neither ``noise`` nor
     ``rng`` given the perturbation is zero and the result is the plain
     tempered softmax.  ``tau`` must be positive (not NaN) and ``logits``
-    not empty.
+    not empty, and the relaxed logits ``(logits + noise) / tau`` must have a
+    finite maximum: a NaN, a +inf or all -inf would give NaN probabilities.
+    A -inf among finite entries gets probability 0.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -160,7 +162,11 @@ def gumbel_softmax(
     else:
         eps = np.asarray(noise, dtype=np.float64)
     shifted = (z + eps) / tau
-    shifted = shifted - shifted.max()
+    top = shifted.max()  # NaN if any entry is NaN
+    if not math.isfinite(top):
+        raise ValueError(f"the relaxed logits (logits + noise) / tau must have a finite "
+                         f"maximum, got {top}")
+    shifted = shifted - top
     expv = np.exp(shifted)
     return expv / expv.sum()
 
@@ -251,15 +257,16 @@ def memory_model(m: int, k_percent: float, n_ops: int, act_bytes: float) -> Memo
     (1 + m) * act_bytes; quantizing only k percent of channels shrinks the
     quantized copies to m * k/100.  The model ignores quantizer metadata and
     allocator overhead, so measured savings typically exceed the ratio
-    reported here.  ``n_ops`` is at least 1 and ``act_bytes`` finite and
+    reported here.  ``m`` and ``n_ops`` are plain ints (not a ``bool`` or a
+    float), ``m >= 0`` and ``n_ops >= 1``, and ``act_bytes`` is finite and
     positive, so both byte counts are positive and the ratio is defined.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be >= 0 and a plain int, got {m!r}")
     if not 0 <= k_percent <= 100:
         raise ValueError(f"k_percent must be in [0, 100], got {k_percent}")
-    if n_ops < 1:
-        raise ValueError(f"n_ops must be >= 1, got {n_ops}")
+    if type(n_ops) is not int or n_ops < 1:
+        raise ValueError(f"n_ops must be >= 1 and a plain int, got {n_ops!r}")
     if not (math.isfinite(act_bytes) and act_bytes > 0):
         raise ValueError(f"act_bytes must be finite and positive, got {act_bytes}")
     naive = n_ops * act_bytes * (1 + m)

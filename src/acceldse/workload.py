@@ -38,16 +38,6 @@ from .documents import construct, parse_json, read_int, read_list, read_object
 ALLOWED_BITS = (2, 4, 8)
 TILE_POW2_MAX = 10  # tile sizes are powers of two up to 2**TILE_POW2_MAX
 
-OPERATOR_FIELDS = (
-    "kernel",
-    "stride",
-    "out_rows",
-    "in_channels",
-    "out_channels",
-    "act_bits",
-    "wgt_bits",
-)
-
 
 @dataclass(frozen=True)
 class OperatorDescriptor:
@@ -79,6 +69,10 @@ class OperatorDescriptor:
     @property
     def in_rows(self) -> int:
         return (self.out_rows - 1) * self.stride + self.kernel
+
+
+# The operator's fields in order: the encoding vector's and the document's.
+OPERATOR_FIELDS = tuple(f.name for f in fields(OperatorDescriptor))
 
 
 @dataclass(frozen=True)

@@ -193,3 +193,11 @@ def test_config_at_picks_each_fields_candidate(data):
     a, b = data.draw(tuples), data.draw(tuples)
     assert space.config_at(a).as_tuple() == tuple(map(tuple.__getitem__, space.candidates, a))
     assert (space.config_at(a) == space.config_at(b)) == (a == b)
+
+
+@pytest.mark.parametrize("choices", [(0,) * 6, (0,) * 8])
+def test_config_at_refuses_a_choice_tuple_of_the_wrong_length(choices):
+    """One index per config field: a shorter or longer tuple is an error,
+    not a config built from the fields it happens to cover."""
+    with pytest.raises(ValueError):
+        ParamSpace().config_at(choices)

@@ -271,6 +271,46 @@ def test_cache_hit_and_miss(docs, tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 2
 
 
+def test_cache_without_tiling_records_each_operator_once(docs, tmp_path):
+    """`cost --cache` without `--tiling` writes one record per operator; the
+    same run again appends none, and `--tiling` fed the plans of that report
+    reads every cost from the memo, appends none and writes the same report."""
+    wpath, _ = small_docs(tmp_path)
+    cache = tmp_path / "memo.jsonl"
+    args = ["cost", "--workload", wpath, "--accel", docs["accel.json"], "--cache", str(cache)]
+    reports = [tmp_path / f"report{i}.json" for i in range(3)]
+    assert main(args + ["--out", str(reports[0])]) == 0
+    memo = cache.read_bytes()
+    assert len(memo.splitlines()) == 3
+    assert main(args + ["--out", str(reports[1])]) == 0
+    assert cache.read_bytes() == memo
+    plans = [op["tiling"] for op in json.loads(reports[0].read_text())["per_operator"]]
+    tilings = tmp_path / "tilings.json"
+    tilings.write_text(json.dumps({"tilings": plans}))
+    assert main(args + ["--tiling", str(tilings), "--out", str(reports[2])]) == 0
+    assert cache.read_bytes() == memo
+    assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+
+
+def test_reports_go_to_stdout_without_out(docs, tmp_path, capsys):
+    """Without `--out`, `cost` prints its report on stdout, and `search tile`
+    its CSV on stdout and its summary on stderr."""
+    wpath, _ = small_docs(tmp_path)
+    base = ["--workload", wpath, "--accel", docs["accel.json"]]
+    report = tmp_path / "report.json"
+    assert main(["cost", *base, "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["cost", *base]) == 0
+    assert capsys.readouterr() == (report.read_text(), "")
+    csv = tmp_path / "tilings.csv"
+    assert main(["search", "tile", *base, "--out", str(csv)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["search", "tile", *base]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == csv.read_text()
+    assert json.loads(printed.err).keys() == summary.keys()
+
+
 def test_cache_corrupt_record_recovered(docs, tmp_path, capsys):
     cache = tmp_path / "memo.jsonl"
     out = tmp_path / "c.json"

@@ -1,7 +1,7 @@
 """The per-operator grid table: closed form on the grid against the loop-nest
 walker, the cache-growth law, a cache no caller can corrupt, the field
-separability of the cost stages, the monotonicity of one tiling's cost, and
-the stage memo's one slot per stage."""
+separability of the cost stages, the monotonicity of one tiling's cost and of
+the optimum, and the stage memo's one slot per stage."""
 
 import inspect
 from dataclasses import fields, replace
@@ -122,11 +122,11 @@ def test_grid_matches_loop_nest_walker(op, cfg):
         assert out["out_unique_tiles"][cell] == walked["unique"]["out"], cell
 
 
-def tiling_objective(op, cfg, weights):
+def tiling_objective(op, cfg, weights, constants=None):
     """`batch_search`'s optimal weighted objective and feasible count; an
     operator with no feasible tiling scores +inf with none feasible."""
     try:
-        result = batch_search(op, cfg, weights=weights)
+        result = batch_search(op, cfg, constants, weights)
     except NoFeasibleTiling:
         return float("inf"), 0
     # batch_search weighs energy and latency only: area does not depend on the tiling
@@ -152,6 +152,29 @@ def test_growing_caches_never_worsens_the_optimum(op, cfg, grown, steps, lambda_
     grown_objective, grown_feasible = tiling_objective(op, bigger, weights)
     assert grown_objective <= objective
     assert grown_feasible >= n_feasible
+
+
+@settings(PROPERTY, max_examples=200)
+@given(operators, configs, st.sampled_from(["dram_bw_bytes_per_cycle", "act_bits", "wgt_bits"]),
+       st.sampled_from([0.0, 0.33, 1.0, 7.5]), st.sampled_from([0.0, 0.33, 1.0, 7.5]), st.data())
+def test_more_bandwidth_or_fewer_bits_never_worsens_the_optimum(op, cfg, changed, lambda_e,
+                                                                lambda_l, data):
+    """Inequality, exact: an operator's optimum, the least `λe·energy +
+    λl·latency` over its feasible tilings, does not increase as
+    `dram_bw_bytes_per_cycle` grows, nor as `act_bits` or `wgt_bits` drops
+    within (2, 4, 8).  An operator with no feasible tiling before the change
+    scores +inf, so such an example passes whatever the change gives."""
+    weights = CostWeights(lambda_e, lambda_l, 0.33)
+    if changed == "dram_bw_bytes_per_cycle":
+        bw = st.floats(2.0**-13, 2.0**64)
+        low, high = sorted(data.draw(st.tuples(bw, bw)))
+        before = tiling_objective(op, cfg, weights, CostConstants(dram_bw_bytes_per_cycle=low))
+        after = tiling_objective(op, cfg, weights, CostConstants(dram_bw_bytes_per_cycle=high))
+    else:
+        fewer = data.draw(st.sampled_from([b for b in (2, 4, 8) if b <= getattr(op, changed)]))
+        before = tiling_objective(op, cfg, weights)
+        after = tiling_objective(replace(op, **{changed: fewer}), cfg, weights)
+    assert after[0] <= before[0]
 
 
 @settings(PROPERTY, max_examples=25)

@@ -281,3 +281,22 @@ def test_budget_refuses_an_integer_field_that_is_not_an_int(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an int"):
         SearchBudget(**{field: value})
 
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SearchBudget(max_evaluations=0), "budget counts must be positive"),
+    (lambda: SearchBudget(steps=0), "budget counts must be positive"),
+    (lambda: SearchBudget(samples_per_step=-1), "budget counts must be positive"),
+    (lambda: SearchBudget(gumbel_tau=0.0), "gumbel_tau must be positive"),
+    (lambda: SearchBudget(gumbel_tau=-1.0), "gumbel_tau must be positive"),
+    (lambda: SearchBudget(baseline_decay=-0.1), r"baseline_decay must be in \[0, 1\]"),
+    (lambda: SearchBudget(baseline_decay=1.5), r"baseline_decay must be in \[0, 1\]"),
+    (lambda: GeneratorNet(TOY_SPACE, hidden=4, n_blocks=1).forward(np.zeros(7)),
+     "expected feature vector of shape"),
+    (lambda: GeneratorNet(TOY_SPACE, hidden=4, n_blocks=1).forward(np.zeros((1, 8))),
+     "expected feature vector of shape"),
+], ids=["evaluations", "steps", "samples", "tau-zero", "tau-negative", "decay-below",
+        "decay-above", "features-short", "features-2d"])
+def test_search_inputs_outside_their_domain_are_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

@@ -175,3 +175,13 @@ def test_load_supernet_state():
         load_supernet_state("not json")
     with pytest.raises(InvalidDocument, match="layer 0"):
         load_supernet_state(json.dumps({"layers": [{"alpha": [1.0]}]}))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SupernetLayer(alpha=(), candidates=(), beta_w=(), beta_a=()),
+     "layer has no candidates"),
+    (lambda: SupernetState(layers=()), "supernet has no layers"),
+], ids=["layer", "state"])
+def test_an_empty_supernet_is_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

@@ -405,3 +405,40 @@ def test_memory_model_refuses_sizes_without_a_defined_ratio(n_ops, act_bytes, ma
     with pytest.raises(ValueError, match=match):
         memory_model(3, 50, n_ops, act_bytes)
     assert memory_model(3, 50, 1, 1.0).ratio == 4 / 2.5
+
+
+ACTS = np.arange(8.0).reshape(1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: mix_precision(np.arange(3.0), [0.5, 0.5]), "betas must have one weight per bit"),
+    (lambda: mix_precision(np.arange(3.0), [[0.2, 0.3, 0.5]]), "betas must have one weight per bit"),
+    (lambda: gumbel_softmax([1.0, 2.0], 1.0, mode="hard"), "mode must be 'paper' or 'standard'"),
+    (lambda: gumbel_softmax([np.nan, 1.0], 1.0), "must have a finite maximum"),
+    (lambda: gumbel_softmax([np.inf, 1.0], 1.0), "must have a finite maximum"),
+    (lambda: gumbel_softmax([-np.inf, -np.inf], 1.0), "must have a finite maximum"),
+    (lambda: gumbel_softmax([1.0, 2.0], 1.0, noise=[np.nan, 0.0]), "must have a finite maximum"),
+    (lambda: topk_channels(np.ones(4), -1), r"k_percent must be in \[0, 100\]"),
+    (lambda: topk_channels(np.ones(4), 100.5), r"k_percent must be in \[0, 100\]"),
+    (lambda: quantize_channels(ACTS[0], [0], [0.2, 0.3, 0.5]), "activations must be 4-D"),
+    (lambda: quantize_channels(ACTS[None], [0], [0.2, 0.3, 0.5]), "activations must be 4-D"),
+    (lambda: memory_model(-1, 50, 1, 1.0), "m must be >= 0"),
+    (lambda: memory_model(float("nan"), 50, 1, 1.0), "m must be >= 0 and a plain int"),
+    (lambda: memory_model(3.0, 50, 1, 1.0), "m must be >= 0 and a plain int"),
+    (lambda: memory_model(True, 50, 1, 1.0), "m must be >= 0 and a plain int"),
+    (lambda: memory_model(3, 50, 2.5, 1.0), "n_ops must be >= 1 and a plain int"),
+    (lambda: memory_model(3, 50, True, 1.0), "n_ops must be >= 1 and a plain int"),
+    (lambda: memory_model(3, -1, 1, 1.0), r"k_percent must be in \[0, 100\]"),
+    (lambda: memory_model(3, 101, 1, 1.0), r"k_percent must be in \[0, 100\]"),
+], ids=["betas-short", "betas-2d", "mode", "logit-nan", "logit-inf", "logits-all-minus-inf",
+        "noise-nan", "k-negative", "k-above", "acts-3d", "acts-5d",
+        "m-negative", "m-nan", "m-float", "m-bool", "n-ops-float", "n-ops-bool",
+        "memory-k-negative", "memory-k-above"])
+def test_quant_inputs_outside_their_domain_are_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_gumbel_softmax_gives_a_minus_inf_logit_probability_zero():
+    """A -inf among finite logits is a category ruled out, not an error."""
+    assert gumbel_softmax([-np.inf, 1.0, 1.0], 1.0).tolist() == [0.0, 0.5, 0.5]

@@ -25,13 +25,23 @@ SPACES = {"toy": TOY_SPACE, "singleton": SINGLETON_SPACE, "space24": make_reduce
 FEATS = np.linspace(0.05, 0.9, GeneratorNet.N_FEATURES)
 
 
-def weight_arrays(net):
-    return [net.w_in, net.b_in, *(blk[k] for blk in net.blocks for k in "ucvd"),
-            *(head[k] for head in net.heads for k in "pq")]
-
-
 def weight_bits(net):
-    return [w.view(np.uint64).copy() for w in weight_arrays(net)]
+    return [w.view(np.uint64).copy() for w in net.parameters()]
+
+
+def test_parameters_hold_every_weight_array_once():
+    """`parameters()` is the one list `sgd_step` and `update_bound` walk, so
+    it must name each array the net owns exactly once, by identity; and
+    `backward` returns one gradient of the same shape per entry, in order."""
+    net = GeneratorNet(TOY_SPACE, hidden=8, n_blocks=3, seed=0)
+    owned = [value for value in vars(net).values() if isinstance(value, np.ndarray)]
+    owned += [w for layers in (net.blocks, net.heads) for layer in layers for w in layer.values()]
+    params = net.parameters()
+    assert len(params) == len(owned) == len({id(w) for w in params})
+    assert {id(w) for w in params} == {id(w) for w in owned}
+    logits, cache = net.forward(FEATS)
+    grads = net.backward(cache, [np.ones_like(l) for l in logits])
+    assert [g.shape for g in grads] == [w.shape for w in params]
 
 
 def table_scorer(values, feasible):
@@ -100,7 +110,7 @@ def scaled_net(seed, scale=1.0, head_scale=1.0, target=None):
     it sets the no-op floor at its tightest: its bias ("q") or the weight
     ("p") that multiplies the largest final activation."""
     net = GeneratorNet(TOY_SPACE, hidden=8, n_blocks=2, seed=seed)
-    for w in weight_arrays(net):
+    for w in net.parameters():
         w *= scale
     for head in net.heads:
         head["p"] *= head_scale / scale
@@ -182,7 +192,7 @@ def test_no_op_rule_counts_subnormal_rounding():
     the rule must not skip, although `2 |lr| d C < floor` holds for the raw
     `d`."""
     net = GeneratorNet(TOY_SPACE, hidden=8, n_blocks=1, seed=0)
-    for w in weight_arrays(net):
+    for w in net.parameters():
         w[...] = 2.0**-60
     net.b_in[:] = 0.5
     blk = net.blocks[0]
