@@ -177,6 +177,10 @@ class GeneratorNet:
         self.heads = [
             {"p": init(h, (size, h)), "q": init(h, (size,))} for size in space.field_sizes
         ]
+        # What `backward` writes its gradients into, in `parameters()` order,
+        # and what `update_bound` writes |w| into, one array per weight shape.
+        self._grads = [np.empty_like(w) for w in self.parameters()]
+        self._scratch = {w.shape: np.empty_like(w) for w in self.parameters()}
 
     @property
     def head_sizes(self) -> tuple[int, ...]:
@@ -206,24 +210,42 @@ class GeneratorNet:
         return logits, cache
 
     def backward(self, cache, dlogits) -> list[np.ndarray]:
-        """The gradient of each weight array, in `parameters()` order."""
+        """The gradient of each weight array, in `parameters()` order.
+
+        The gradients are written into buffers the net owns and returned;
+        the next `backward` overwrites them.  Each weight gradient is
+        `np.outer`'s own product, `a[:, None] * b`.
+        """
         x, z0, block_cache, a_final = cache
-        head_grads = []
+        grads = self._grads
+        first_head = 2 + 4 * len(self.blocks)  # after the input layer and the blocks
         da = np.zeros_like(a_final)
-        for head, dl in zip(self.heads, dlogits):
-            head_grads += [np.outer(dl, a_final), dl.copy()]
+        head_grads = zip(grads[first_head::2], grads[first_head + 1::2])
+        for head, dl, (gp, gq) in zip(self.heads, dlogits, head_grads):
+            np.multiply(dl[:, None], a_final, out=gp)
+            gq[...] = dl
             da = da + head["p"].T @ dl
-        block_grads = []
-        for blk, (a_in, zh, hh) in zip(reversed(self.blocks), reversed(block_cache)):
+        block_grads = [grads[i:i + 4] for i in range(2, first_head, 4)]
+        for blk, (a_in, zh, hh), (gu, gc, gv, gd) in zip(
+                reversed(self.blocks), reversed(block_cache), reversed(block_grads)):
             dzh = (blk["v"].T @ da) * (zh > 0)
-            block_grads[:0] = [np.outer(dzh, a_in), dzh, np.outer(da, hh), da]
+            np.multiply(dzh[:, None], a_in, out=gu)
+            gc[...] = dzh
+            np.multiply(da[:, None], hh, out=gv)
+            gd[...] = da
             da = da + blk["u"].T @ dzh
         dz0 = da * (z0 > 0)
-        return [np.outer(dz0, x), dz0, *block_grads, *head_grads]
+        np.multiply(dz0[:, None], x, out=grads[0])
+        grads[1][...] = dz0
+        return grads
 
     def sgd_step(self, grads, lr: float):
+        """`w -= lr * g` for each weight, in `parameters()` order.  Each
+        gradient is scaled in place first (`g *= lr`, the same bits as
+        `lr * g`), so `grads` holds `lr * g` afterwards."""
         for w, g in zip(self.parameters(), grads, strict=True):
-            w -= lr * g
+            g *= lr
+            w -= g
 
 
 def generator_forward(
@@ -336,16 +358,22 @@ def update_bound(net: GeneratorNet, cache) -> tuple[float, float]:
     each matrix by its largest column sum.  `floor` is the smallest
     `spacing(|w|) / 4` over all weights, half the smaller gap next to `w`,
     so `w - delta == w` whenever `|delta| < floor` (0, so never a skip, when
-    a weight is +-0).  A NaN or inf among the weights or activations makes
+    a weight is +-0).  `spacing` does not decrease as `|w|` grows, so that
+    is `spacing(min|w|) / 4`, and NaN when any `|w|` is NaN or inf, as
+    `spacing` is there.  A NaN or inf among the weights or activations makes
     `C` NaN or inf, or `floor` NaN, and either fails `update_is_no_op`.
+    Each `|w|` is written into the net's scratch array of its shape.
     """
     x, _, block_cache, a_final = cache
 
     def amax(v):
         return np.abs(v).max()
 
+    def absolute(w):
+        return np.abs(w, out=net._scratch[w.shape])
+
     def colsum(m):
-        return np.abs(m).sum(axis=0).max()
+        return absolute(m).sum(axis=0).max()
 
     da = sum(colsum(head["p"]) for head in net.heads)
     terms = [amax(a_final), 1.0, da]
@@ -354,7 +382,11 @@ def update_bound(net: GeneratorNet, cache) -> tuple[float, float]:
         terms += [da * amax(hh), dzh * amax(a_in), dzh]
         da = da + colsum(blk["u"]) * dzh
     terms += [da * amax(x), da]
-    floor = np.min([np.spacing(np.abs(w)).min() for w in net.parameters()]) / 4
+    smallest, largest = math.inf, 0.0
+    for w in net.parameters():
+        a = absolute(w)
+        smallest, largest = np.minimum(smallest, a.min()), np.maximum(largest, a.max())
+    floor = np.spacing(smallest) / 4 if np.isfinite(largest) else math.nan
     return float(np.max(terms)), float(floor)
 
 
@@ -417,6 +449,8 @@ def train_policy(net: GeneratorNet, feats: np.ndarray, score_fn, budget: SearchB
         if forward is None:
             forward = net.forward(feats)
             bound = cdfs_tau = None
+            # C >= 1 and floor <= spacing(max|b_in|) / 4, so a skip needs `2 |lr| d` below this
+            gate = np.spacing(np.abs(net.b_in).max()) / 4
         logits, cache = forward
         if cdfs_tau is None or tau != cdfs_tau:
             probs = [gumbel_softmax(l, tau) for l in logits]
@@ -433,8 +467,7 @@ def train_policy(net: GeneratorNet, feats: np.ndarray, score_fn, budget: SearchB
 
         dlogits = _score_gradient(neg_probs, offsets, picks, costs - baseline, n_samples * tau)
         d = np.abs(dlogits).max()
-        # C >= 1 and floor <= spacing(max|b_in|) / 4, so a skip needs the first test
-        if bound is None and 2.0 * abs(lr) * d < np.spacing(np.abs(net.b_in).max()) / 4:
+        if bound is None and 2.0 * abs(lr) * d < gate:
             bound = update_bound(net, cache)
         if bound is None or not update_is_no_op(lr, d, bound):
             net.sgd_step(net.backward(cache, np.split(dlogits, offsets[1:])), lr)

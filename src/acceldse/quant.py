@@ -161,7 +161,8 @@ def gumbel_softmax(
             eps = u if mode == "paper" else -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
     else:
         eps = np.asarray(noise, dtype=np.float64)
-    shifted = (z + eps) / tau
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        shifted = (z + eps) / tau
     top = shifted.max()  # NaN if any entry is NaN
     if not math.isfinite(top):
         raise ValueError(f"the relaxed logits (logits + noise) / tau must have a finite "

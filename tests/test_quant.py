@@ -442,3 +442,14 @@ def test_quant_inputs_outside_their_domain_are_refused(make, match):
 def test_gumbel_softmax_gives_a_minus_inf_logit_probability_zero():
     """A -inf among finite logits is a category ruled out, not an error."""
     assert gumbel_softmax([-np.inf, 1.0, 1.0], 1.0).tolist() == [0.0, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("logits, tau, noise", [
+    ([1e300, 2.0], 1e-10, None),
+    ([1.7e308], 1.0, [1.7e308]),
+], ids=["divide-overflows", "add-overflows"])
+def test_gumbel_softmax_refuses_finite_logits_whose_relaxation_overflows(logits, tau, noise):
+    """Finite inputs whose `(logits + noise) / tau` overflows to inf get the
+    library's refusal, not numpy's overflow warning (an error in this suite)."""
+    with pytest.raises(ValueError, match="must have a finite maximum"):
+        gumbel_softmax(logits, tau, noise=noise)

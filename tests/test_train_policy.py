@@ -2,16 +2,17 @@
 rests on: the batched categorical sampler and the no-op update test."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import make_reduced_space_24, make_small_subnet
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from policy_oracle import reference_train_policy
+from policy_oracle import plain_backward, plain_update, plain_update_bound, reference_train_policy
 from test_hwsearch import SINGLETON_SPACE, TOY_SPACE
 
-from acceldse import GeneratorNet, SearchBudget
+from acceldse import GeneratorNet, ParamSpace, SearchBudget
 from acceldse.hwsearch import (
     draw_choices,
     head_cdfs,
@@ -42,6 +43,94 @@ def test_parameters_hold_every_weight_array_once():
     logits, cache = net.forward(FEATS)
     grads = net.backward(cache, [np.ones_like(l) for l in logits])
     assert [g.shape for g in grads] == [w.shape for w in params]
+
+
+def random_dlogits(rng, net):
+    return [rng.uniform(-1.0, 1.0, n) for n in net.head_sizes]
+
+
+@pytest.mark.parametrize("space", [ParamSpace(), make_reduced_space_24()], ids=["full", "space24"])
+def test_buffered_update_matches_plain_update(space):
+    """Three consecutive updates of the full-size net: each buffered gradient
+    and each weight afterwards has the bits of the plain backward pass and
+    `w -= lr * g`, and `sgd_step` leaves `lr * g` in the buffers.  The
+    buffers are filled with NaN before each `backward`, so an entry it does
+    not write shows."""
+    net = GeneratorNet(space, seed=3)
+    plain = copy.deepcopy(net)
+    rng = np.random.default_rng(0)
+    _, cache = net.forward(FEATS)
+    buffers = net.backward(cache, random_dlogits(rng, net))
+    for lr in (0.1, -0.05, 0.1):
+        _, cache = net.forward(FEATS)
+        _, plain_cache = plain.forward(FEATS)
+        dlogits = random_dlogits(rng, net)
+        for g in buffers:
+            g.fill(np.nan)
+        grads = net.backward(cache, dlogits)
+        assert all(g is b for g, b in zip(grads, buffers, strict=True))
+        expected = plain_backward(plain, plain_cache, dlogits)
+        assert all(np.array_equal(g.view(np.uint64), e.view(np.uint64))
+                   for g, e in zip(grads, expected, strict=True))
+        net.sgd_step(grads, lr)
+        plain_update(plain, expected, lr)
+        assert all(np.array_equal(g, lr * e) for g, e in zip(grads, expected))
+        assert all(np.array_equal(a, b) for a, b in zip(weight_bits(net), weight_bits(plain)))
+
+
+SPECIAL_WEIGHTS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**-1022, 1.0, -3.5, np.nan,
+                   np.inf, -np.inf]
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 20),
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e200]),
+    writes=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16),
+                              st.sampled_from(SPECIAL_WEIGHTS) | st.floats()),
+                    max_size=4),
+)
+def test_update_bound_floor_keeps_its_definition(seed, scale, writes):
+    """`(C, floor)` equals the bound built from fresh `|w|` arrays with the
+    floor as `min(spacing(|w|)) / 4` entry by entry, NaN where that is NaN,
+    for weights holding +-0, subnormals, NaN and +-inf."""
+    net = GeneratorNet(TOY_SPACE, hidden=8, n_blocks=2, seed=seed)
+    _, cache = net.forward(FEATS)
+    params = net.parameters()
+    for w in params:
+        w *= scale
+    for which, index, value in writes:
+        w = params[which % len(params)]
+        w.flat[index % w.size] = value
+    # huge weights overflow C to inf, and inf times a zero activation is NaN, in both
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, expected = update_bound(net, cache), plain_update_bound(net, cache)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def allocation_peak(call):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_update_allocates_nothing_weight_sized():
+    """After one warm update, neither an update nor the no-op bound peaks at
+    a quarter of the net's weight bytes (1.68 MB on the full space): their
+    temporaries are vectors, not weight-sized arrays."""
+    net = GeneratorNet(ParamSpace(), seed=0)
+    rng = np.random.default_rng(0)
+    _, cache = net.forward(FEATS)
+    net.sgd_step(net.backward(cache, random_dlogits(rng, net)), 1e-3)
+    limit = sum(w.nbytes for w in net.parameters()) / 4
+    _, cache = net.forward(FEATS)
+    dlogits = random_dlogits(rng, net)
+    assert allocation_peak(lambda: net.sgd_step(net.backward(cache, dlogits), 1e-3)) < limit
+    assert allocation_peak(lambda: update_bound(net, cache)) < limit
 
 
 def table_scorer(values, feasible):
