@@ -221,8 +221,7 @@ def _load_tilings(text: str, n_ops: int) -> list[TilingPlan]:
 
     def plan_of(obj, where):
         read_object(obj, where, TILING_FIELDS, TILING_FIELDS)
-        return construct(TilingPlan, where,
-                         *[read_int(obj[name], where, name) for name in TILING_FIELDS])
+        return construct(TilingPlan, where, *[obj[name] for name in TILING_FIELDS])
 
     if isinstance(doc, dict) and "tilings" in doc:
         read_object(doc, "tiling document", ("tilings",))

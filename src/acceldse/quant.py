@@ -161,14 +161,14 @@ def gumbel_softmax(
             eps = u if mode == "paper" else -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
     else:
         eps = np.asarray(noise, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is refused just below
+    # an overflow to +inf is refused below; one to -inf, far below the maximum, is probability 0
+    with np.errstate(over="ignore"):
         shifted = (z + eps) / tau
-    top = shifted.max()  # NaN if any entry is NaN
-    if not math.isfinite(top):
-        raise ValueError(f"the relaxed logits (logits + noise) / tau must have a finite "
-                         f"maximum, got {top}")
-    shifted = shifted - top
-    expv = np.exp(shifted)
+        top = shifted.max()  # NaN if any entry is NaN
+        if not math.isfinite(top):
+            raise ValueError(f"the relaxed logits (logits + noise) / tau must have a finite "
+                             f"maximum, got {top}")
+        expv = np.exp(shifted - top)
     return expv / expv.sum()
 
 

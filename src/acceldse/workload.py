@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Iterator
 
-from .documents import construct, parse_json, read_int, read_list, read_object
+from .documents import construct, parse_json, read_list, read_object
 
 ALLOWED_BITS = (2, 4, 8)
 TILE_POW2_MAX = 10  # tile sizes are powers of two up to 2**TILE_POW2_MAX
@@ -125,8 +125,7 @@ encode_operator = attrgetter(*OPERATOR_FIELDS)
 def operator_from_dict(raw, where: str) -> OperatorDescriptor:
     """Read one operator object of a workload or supernet document."""
     read_object(raw, where, OPERATOR_FIELDS, OPERATOR_FIELDS)
-    return construct(OperatorDescriptor, where,
-                     *[read_int(raw[name], where, name) for name in OPERATOR_FIELDS])
+    return construct(OperatorDescriptor, where, *[raw[name] for name in OPERATOR_FIELDS])
 
 
 def load_subnet(text: str) -> SubnetDescriptor:

@@ -21,6 +21,7 @@ from acceldse.hwsearch import (
     update_bound,
     update_is_no_op,
 )
+from acceldse.quant import gumbel_softmax
 
 SPACES = {"toy": TOY_SPACE, "singleton": SINGLETON_SPACE, "space24": make_reduced_space_24()}
 FEATS = np.linspace(0.05, 0.9, GeneratorNet.N_FEATURES)
@@ -348,8 +349,65 @@ def test_batched_sampler_matches_choice(heads, n_samples, seed):
 @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4], [0.5, 0.6]],
                          ids=["nan", "negative", "sum-below-one", "sum-above-one"])
 def test_invalid_probabilities_raise_like_choice(p):
+    """Each kind of invalid `p` raises in `rng.choice`, so the property below
+    catches a `gumbel_softmax` output of that kind; `head_cdfs`, which trusts
+    its input, raises nothing on it."""
     p = np.array(p)
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(len(p), p=p)
-    with pytest.raises(ValueError):
-        head_cdfs([np.full(3, 1 / 3), p])
+    assert len(head_cdfs([np.full(3, 1 / 3), p])[1]) == len(p)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    logits=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-np.inf),
+                    min_size=1, max_size=130),
+    tau=st.floats(1e-3, 1e3),
+    mode=st.sampled_from(["standard", "paper"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(logits=[1.7e308, -1.7e308], tau=1.0, mode="paper", seed=0)
+@example(logits=[-np.inf, 0.0, -np.inf], tau=1e-3, mode="standard", seed=0)
+def test_gumbel_softmax_output_passes_choice(logits, tau, mode, seed):
+    """What `head_cdfs` relies on instead of checking it: a `gumbel_softmax`
+    output, for finite logits of any magnitude among -inf entries, is a `p`
+    that `rng.choice(len(p), p=p)` accepts, unless `gumbel_softmax` refuses
+    the logits with a `ValueError`.  Its cumulative distribution ends in 1.0."""
+    try:
+        p = gumbel_softmax(logits, tau, mode=mode, rng=seed)
+    except ValueError:
+        return
+    np.random.default_rng(seed).choice(len(p), p=p)
+    assert head_cdfs([p])[0][-1] == 1.0
+
+
+def bound_overflow_net():
+    """A small net whose no-op bound overflows while its forward and
+    backward passes do not: a huge negative input bias zeroes the first
+    activations, and very negative block biases keep every hidden activation
+    at 0, so the huge `v` weights only ever multiply zeros."""
+    net = GeneratorNet(TOY_SPACE, hidden=8, n_blocks=3, seed=0)
+    net.b_in[...] = -1e200
+    for blk in net.blocks:
+        blk["c"][...] = -100.0
+        blk["v"][...] = 1e300
+    return net
+
+
+def test_train_policy_bound_overflow_raises_no_warning():
+    """The bound, reached on every step because the gate `spacing(max|b_in|)
+    / 4` is huge, overflows to inf and NaN without a warning and never
+    skips: the run matches the plain loop bit for bit."""
+    net = bound_overflow_net()
+    _, cache = net.forward(FEATS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(plain_update_bound(net, cache)[0])
+    budget = SearchBudget(max_evaluations=40, seed=0, steps=5, samples_per_step=8)
+    outcomes = []
+    for train in (reference_train_policy, train_policy):
+        net = bound_overflow_net()
+        score = table_scorer([1.0, 2.0, 3.5], [True] * 4)
+        outcomes.append((repr(train(net, FEATS, score, budget)), weight_bits(net)))
+    (expected, expected_bits), (got, got_bits) = outcomes
+    assert got == expected
+    assert all(np.array_equal(a, b) for a, b in zip(got_bits, expected_bits))

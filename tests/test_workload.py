@@ -81,7 +81,7 @@ def test_load_subnet_errors():
         ok = dict(bad, act_bits=8)
         missing = {k: v for k, v in ok.items() if k != "stride"}
         load_subnet(json.dumps({"operators": [ok, missing]}))
-    with pytest.raises(InvalidDocument, match=r"operator 0.*kernel must be an integer"):
+    with pytest.raises(InvalidDocument, match=r"operator 0.*kernel must be a positive integer"):
         load_subnet(json.dumps({"operators": [dict(bad, act_bits=8, kernel=3.5)]}))
 
 
