@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple, fields
 from operator import attrgetter
 from pathlib import Path
@@ -47,6 +48,7 @@ from .documents import (
     read_list,
     read_number,
     read_object,
+    write_json,
 )
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
@@ -80,15 +82,25 @@ def _read_text(path: str) -> str:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _writing(path: str):
+    """The `write` of the text file `path`, opened for the `with` block; an
+    `OSError` from opening, writing or closing it becomes `InvalidDocument`.
+    A write that fails partway leaves what was written before it."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            yield f.write
     except OSError as exc:
         raise InvalidDocument(f"cannot write {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    with _writing(path) as write:
+        write(text)
+
+
 def _check_writable(path: str | None) -> None:
-    """Raise now the error `_write_text(path, ...)` would raise after a long
+    """Raise now the error `_writing(path)` would raise after a long
     run, where the cause can be seen without creating the file: a missing
     or non-directory parent, a directory at `path`, or no write permission.
     None, standing for stdout, is always writable."""
@@ -206,12 +218,12 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_report(doc, out: str | None) -> None:
-    """Write the report document to the file `out`, or to stdout."""
-    text = json_text(doc)
+    """Stream the report document to the file `out`, or to stdout."""
     if out:
-        _write_text(out, text)
+        with _writing(out) as write:
+            write_json(doc, write)
     else:
-        print(text, end="")
+        write_json(doc, sys.stdout.write)
 
 
 def _load_tilings(text: str, n_ops: int) -> list[TilingPlan]:
@@ -301,7 +313,13 @@ def cmd_cost(args) -> int:
         if cache:
             cache.close()
 
-    report = {
+    _write_report(_cost_report(plans, costs, total, weights), args.out)
+    return 0
+
+
+def _cost_report(plans, costs, total, weights) -> dict:
+    """`cost`'s report: each operator's tiling and cost, and the subnet's."""
+    return {
         "per_operator": [
             {
                 "op_index": i,
@@ -319,8 +337,6 @@ def cmd_cost(args) -> int:
         },
         "weights": {f.name: getattr(weights, f.name) for f in fields(weights)},
     }
-    _write_report(report, args.out)
-    return 0
 
 
 def cmd_search_tile(args) -> int:

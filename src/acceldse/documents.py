@@ -8,8 +8,9 @@ field takes a JSON integer only (not ``true``, ``16.7`` or ``"16"``), a number
 must be finite, and an object holds no key outside its known fields.
 Messages are built only when a check fails, so large documents read fast.
 
-`json_text` writes a report exactly as ``json.dumps(doc, indent=2)`` plus a
-newline, without the pure-Python encoder that ``indent`` selects.
+`write_json` writes a report exactly as ``json.dumps(doc, indent=2)`` plus a
+newline, without the pure-Python encoder that ``indent`` selects, and hands
+it to its destination in bounded pieces; `json_text` joins those pieces.
 """
 
 from __future__ import annotations
@@ -23,18 +24,33 @@ from .errors import InvalidDocument
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def json_text(doc) -> str:
-    """`doc` as ``json.dumps(doc, indent=2) + "\\n"``: two-space indent, ASCII
-    escapes, floats by `float.__repr__` (NaN and infinities as ``json``
-    writes them) and tuples as lists.  Object keys must be strings; a key or
-    value of any other type raises `TypeError`."""
+# `write_json` hands its chunks on once this many have gathered: each piece
+# is some tens of KB, so a report's whole text is never held at once.
+_BATCH = 2048
+
+
+def write_json(doc, write) -> None:
+    """Pass `doc`'s text, ``json.dumps(doc, indent=2) + "\\n"``, to `write` in
+    pieces, each the join of about `_BATCH` chunks (the last of fewer):
+    two-space indent, ASCII escapes, floats by `float.__repr__` (NaN and
+    infinities as ``json`` writes them) and tuples as lists.  Object keys
+    must be strings; a key or value of any other type raises `TypeError`,
+    after the pieces before it have gone to `write`."""
     text = _scalar(doc)
     if text is not None:
-        return _NON_FINITE.get(text, text) + "\n"
+        write(_NON_FINITE.get(text, text) + "\n")
+        return
     chunks: list[str] = []
-    _write(doc, chunks, "\n")
+    _write(doc, chunks, "\n", write)
     chunks.append("\n")
-    return "".join(chunks)
+    write("".join(chunks))
+
+
+def json_text(doc) -> str:
+    """`doc`'s text as `write_json` writes it, in one string."""
+    pieces: list[str] = []
+    write_json(doc, pieces.append)
+    return "".join(pieces)
 
 
 def _scalar(value) -> str | None:
@@ -63,13 +79,13 @@ def _scalar(value) -> str | None:
 _LEAF_TEXT = {float: float.__repr__, int: int.__repr__, str: _string}
 
 
-def _write(value, chunks: list, newline: str) -> None:
+def _write(value, chunks: list, newline: str, write) -> None:
     """Append the text of the container `value`, whose closing bracket sits
     after `newline` (a newline and the indent of its level).  Each leaf
-    goes out in one chunk with the separator and key before it, so
-    `chunks` grows no longer than `json.dumps`'s own chunk list.  Only a
-    float's text can be a key of `_NON_FINITE`: every other leaf's is
-    quoted, a number or a literal."""
+    goes out in one chunk with the separator and key before it; after each
+    item, a full batch of `chunks` goes to `write` joined, and `chunks`
+    starts over.  Only a float's text can be a key of `_NON_FINITE`: every
+    other leaf's is quoted, a number or a literal."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -83,9 +99,12 @@ def _write(value, chunks: list, newline: str) -> None:
             text = _LEAF_TEXT.get(type(item), _scalar)(item)
             if text is None:
                 chunks.append(head)
-                _write(item, chunks, inner)
+                _write(item, chunks, inner, write)
             else:
                 chunks.append(head + _NON_FINITE.get(text, text))
+            if len(chunks) >= _BATCH:
+                write("".join(chunks))
+                chunks.clear()
             sep = "," + inner
     else:
         if not value:
@@ -96,9 +115,12 @@ def _write(value, chunks: list, newline: str) -> None:
             text = _LEAF_TEXT.get(type(item), _scalar)(item)
             if text is None:
                 chunks.append(sep)
-                _write(item, chunks, inner)
+                _write(item, chunks, inner, write)
             else:
                 chunks.append(sep + _NON_FINITE.get(text, text))
+            if len(chunks) >= _BATCH:
+                write("".join(chunks))
+                chunks.clear()
             sep = "," + inner
     chunks.append(closer)
 

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search, hwsearch, joint
 from acceldse.cli import CostCache, main
+from acceldse.costmodel import TILE_SIZES, CostWeights, TilingPlan, subnet_total
 from acceldse.hwsearch import ENGINE_TABLE, ENGINES, SearchBudget
 from conftest import make_reduced_space_24, make_small_subnet, make_synthetic_subnet_22
 
@@ -453,6 +456,55 @@ def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {unwritable}: "), err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["cost", "search accel", "search co"])
+def test_report_write_failing_partway_exit_2(tmp_path, capsys, command):
+    """A report whose writes fail after the file opened (``/dev/full``
+    refuses every byte with ENOSPC) ends in exit 2 and one error line, not
+    a traceback.  The `cost` report spans several of the writer's pieces."""
+    paths = {}
+    for name, doc in VALID_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    n_ops = 400
+    paths["workload"].write_text(json.dumps({"operators": REF_WORKLOAD["operators"] * n_ops}))
+    paths["tiling"].write_text(json.dumps({"tilings": [BEST_TILING] * n_ops}))
+    argv = {
+        "cost": ["cost", "--workload", paths["workload"], "--accel", paths["accel"],
+                 "--tiling", paths["tiling"]],
+        "search accel": ["search", "accel", "--workload", paths["workload"],
+                         "--space", paths["space"], "--engine", "exhaustive"],
+        "search co": ["search", "co", "--state", paths["supernet"], "--space", paths["space"],
+                      "--engine", "exhaustive"],
+    }[command]
+    assert main([*map(str, argv), "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: "), err
+    assert captured.out == ""
+
+
+def test_cost_report_streams_in_bounded_memory(tmp_path):
+    """`cost`'s report over 3,000 operators goes to its file in pieces: the
+    write's tracemalloc peak stays below the report's own length, where
+    holding its text whole took several times that."""
+    rng = random.Random(0)
+    plans = [TilingPlan(*rng.choices(TILE_SIZES, k=4)) for _ in range(3000)]
+    costs = [CostBreakdown(rng.random(), rng.random() * 10, rng.randrange(1, 2**32),
+                           rng.random() * 1e7, 3.5) for _ in plans]
+    report = cli._cost_report(plans, costs, subnet_total(costs, 3.5), CostWeights())
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._write_report(report, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert peak < len(text), (peak, len(text))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,4 @@
-"""The report writer against `json.dumps(doc, indent=2)`."""
+"""The report writer, whole and streamed, against `json.dumps(doc, indent=2)`."""
 
 import json
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acceldse.documents import json_text
+from acceldse.documents import _BATCH, json_text, write_json
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, math.nan,
                math.inf, -math.inf, 0.1, 1e16, 1e-7]
@@ -26,20 +26,50 @@ leaves = (
     | st.sampled_from(EDGE_STRINGS)
     | st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
 )
-documents = st.recursive(
-    leaves,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.sampled_from(EDGE_STRINGS) | st.text(max_size=4),
-                                     inner, max_size=4)),
-    max_leaves=24,
-)
+
+
+def nested(max_leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(st.sampled_from(EDGE_STRINGS) | st.text(max_size=4),
+                                         inner, max_size=4)),
+        max_leaves=max_leaves,
+    )
+
+
+documents = nested(24)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(documents)
 def test_writes_what_json_dumps_writes(doc):
     assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def streamed(doc) -> list[str]:
+    pieces = []
+    write_json(doc, pieces.append)
+    return pieces
+
+
+# `n` copies of a document, at the top level or nested: at least `_BATCH`
+# chunks, so the writer hands on batches, often many, at any depth.
+large_documents = st.builds(
+    lambda wrap, doc, n: wrap([doc] * n),
+    st.sampled_from([lambda d: d, lambda d: {"a": d, "b": [d]}, lambda d: [[1, d], {}]]),
+    nested(6),
+    st.integers(_BATCH, 2 * _BATCH),
+)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(documents | large_documents)
+def test_streamed_pieces_join_to_what_json_dumps_writes(doc):
+    expected = json.dumps(doc, indent=2) + "\n"
+    assert "".join(streamed(doc)) == expected
+    assert json_text(doc) == expected
 
 
 @pytest.mark.parametrize("doc", [[], {}, (), {"a": []}, [{}, ()], {"a": {"b": {}}}],
@@ -55,3 +85,5 @@ def test_empty_containers(doc):
 def test_unwritable_values_raise_type_error(doc):
     with pytest.raises(TypeError):
         json_text(doc)
+    with pytest.raises(TypeError):
+        streamed(doc)
