@@ -83,18 +83,28 @@ def _read_text(path: str) -> str:
 
 
 @contextmanager
-def _writing(path: str):
-    """The `write` of the text file `path`, opened for the `with` block; an
-    `OSError` from opening, writing or closing it becomes `InvalidDocument`.
-    A write that fails partway leaves what was written before it."""
+def _writing(path: str | None):
+    """The `write` of the text file `path`, opened for the `with` block, or
+    of stdout for None, flushed at its end; an `OSError` from opening,
+    writing, flushing or closing becomes `InvalidDocument`.  A write that
+    fails partway leaves what was written before it.  A failing stdout is
+    then pointed at the null device, so the interpreter's flush of what it
+    still buffers cannot fail again at exit."""
     try:
-        with open(path, "w") as f:
-            yield f.write
+        if path is None:
+            yield sys.stdout.write
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as f:
+                yield f.write
     except OSError as exc:
-        raise InvalidDocument(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InvalidDocument(f"cannot write {path or '<stdout>'}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
     with _writing(path) as write:
         write(text)
 
@@ -139,7 +149,8 @@ class CostCache:
 
     The file is opened once, on the first `put`, for appending (`O_APPEND`),
     and each record goes out in one `os.write`, so records of concurrent
-    writers never interleave.  `close` releases the descriptor."""
+    writers never interleave.  An append that fails or is cut short raises
+    `InvalidDocument`.  `close` releases the descriptor."""
 
     def __init__(self, path: str):
         self.path = Path(path)
@@ -192,17 +203,20 @@ class CostCache:
     def put(self, key: str, cost: CostBreakdown) -> None:
         if key in self._memo:
             return
-        self._memo[key] = cost
         record = json.dumps({"key": key, "cost": cost.to_dict()}) + "\n"
-        if self._needs_newline:
-            record = "\n" + record
-            self._needs_newline = False
-        if self._fd is None:
-            try:
+        data = (("\n" if self._needs_newline else "") + record).encode()
+        try:
+            if self._fd is None:
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            except OSError as exc:
-                raise InvalidDocument(f"cannot write {self.path}: {exc}") from exc
-        os.write(self._fd, record.encode())
+            written = os.write(self._fd, data)
+        except OSError as exc:
+            raise InvalidDocument(f"cannot write {self.path}: {exc}") from exc
+        # a short write leaves a partial record last; the next record starts a new line
+        self._needs_newline = written < len(data)
+        if self._needs_newline:
+            raise InvalidDocument(f"cannot write {self.path}: wrote {written} of a record's "
+                                  f"{len(data)} bytes")
+        self._memo[key] = cost
 
     def close(self) -> None:
         if self._fd is not None:
@@ -219,11 +233,8 @@ def _csv_text(header, rows) -> str:
 
 def _write_report(doc, out: str | None) -> None:
     """Stream the report document to the file `out`, or to stdout."""
-    if out:
-        with _writing(out) as write:
-            write_json(doc, write)
-    else:
-        write_json(doc, sys.stdout.write)
+    with _writing(out) as write:
+        write_json(doc, write)
 
 
 def _load_tilings(text: str, n_ops: int) -> list[TilingPlan]:
@@ -360,9 +371,9 @@ def cmd_search_tile(args) -> int:
     })
     if args.out:
         _write_text(args.out, csv_text)
-        print(summary, end="")
+        _write_text(None, summary)
     else:
-        print(csv_text, end="")
+        _write_text(None, csv_text)
         print(summary, end="", file=sys.stderr)
     return 0
 

@@ -104,7 +104,11 @@ def mix_precision(
     Weights are applied in ``bit_choices`` order and summed from zero.
     ``bit_choices`` is not empty, and ``betas`` holds one finite,
     non-negative weight per bit choice, summing to 1 within
-    ``BETAS_SUM_TOLERANCE``."""
+    ``BETAS_SUM_TOLERANCE``.
+
+    It holds one quantized width at a time: each width's array is dropped
+    once it is in the sum, so the working set is the output, one quantized
+    copy and that copy's top-code mask."""
     if len(bit_choices) == 0:
         raise ValueError("bit_choices must not be empty")
     betas = np.asarray(betas, dtype=np.float64)
@@ -123,6 +127,7 @@ def mix_precision(
         q = quantize(v, bits)[0]  # a fresh array, scaled in place
         q *= weight
         mixed += q
+        del q  # freed before the next width allocates its own
     return mixed
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -25,6 +27,17 @@ REF_CFG = AcceleratorConfig(
     pe_x=16, pe_y=16, act_cache_kb=384, wgt_cache_kb=384, out_cache_kb=384,
     dataflow=Dataflow.WS, loop_order="BIHWO",
 )
+
+
+def allocation_peak(call) -> int:
+    """The `tracemalloc` peak, in bytes, of running `call()`."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -484,6 +485,75 @@ def test_report_write_failing_partway_exit_2(tmp_path, capsys, command):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: "), err
     assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["cost", "search tile", "search accel"])
+def test_failing_stdout_exit_2(tmp_path, command):
+    """A report or CSV sent to a stdout that refuses every byte ends in
+    exit 2 and one error line: no traceback, and no second failure when the
+    interpreter flushes stdout at exit.  The `cost` report fills stdout's
+    buffer, so its writes fail partway."""
+    paths = {}
+    for name, doc in VALID_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    n_ops = 400
+    paths["big"] = tmp_path / "big.json"
+    paths["big"].write_text(json.dumps({"operators": REF_WORKLOAD["operators"] * n_ops}))
+    paths["tiling"].write_text(json.dumps({"tilings": [BEST_TILING] * n_ops}))
+    argv = {
+        "cost": ["cost", "--workload", paths["big"], "--accel", paths["accel"],
+                 "--tiling", paths["tiling"]],
+        "search tile": ["search", "tile", "--workload", paths["workload"],
+                        "--accel", paths["accel"]],
+        "search accel": ["search", "accel", "--workload", paths["workload"],
+                         "--space", paths["space"], "--engine", "exhaustive"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from acceldse.cli import main; sys.exit(main())",
+             *map(str, argv)], stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    err = run.stderr.splitlines()
+    assert run.returncode == 2, run.stderr
+    assert len(err) == 1 and err[0].startswith("error: cannot write <stdout>: "), err
+
+
+@pytest.mark.parametrize("failure", ["ENOSPC", "short"])
+def test_cache_append_failing_exit_2(docs, tmp_path, capsys, monkeypatch, failure):
+    """A memo append that fails (ENOSPC) or is cut short ends in exit 2 and
+    one error line.  A short append leaves a partial record, which a later
+    memo skips with one warning and never appends onto."""
+    path = tmp_path / "memo.jsonl"
+    real_write = os.write
+
+    def write(fd, data):
+        if failure == "ENOSPC":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:len(data) // 2])
+
+    monkeypatch.setattr(cli.os, "write", write)
+    assert main(["cost", "--workload", docs["workload.json"], "--accel", docs["accel.json"],
+                 "--tiling", docs["best.json"], "--cache", str(path)]) == 2
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: "), err
+    assert captured.out == ""
+    partial = path.read_text()
+    assert (partial == "") == (failure == "ENOSPC")
+    memo = CostCache(str(path))
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == (failure == "short"), warnings
+    cost = CostBreakdown(1.5, 0.25, 3, 64.0, 0.5)
+    memo.put("a", cost)
+    memo.close()
+    lines = path.read_text().splitlines()
+    assert lines[-1] == json.dumps({"key": "a", "cost": cost.to_dict()})
+    assert lines[:-1] == ([partial] if partial else [])
+    assert CostCache(str(path)).get("a") == cost
 
 
 def test_cost_report_streams_in_bounded_memory(tmp_path):

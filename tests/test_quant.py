@@ -12,7 +12,7 @@ from acceldse import (
     quantize_channels,
     topk_channels,
 )
-from conftest import PROPERTY
+from conftest import PROPERTY, allocation_peak
 from quant_oracle import reference_mix_precision, reference_quantize, reference_quantize_channels
 
 
@@ -453,3 +453,19 @@ def test_gumbel_softmax_refuses_finite_logits_whose_relaxation_overflows(logits,
     library's refusal, not numpy's overflow warning (an error in this suite)."""
     with pytest.raises(ValueError, match="must have a finite maximum"):
         gumbel_softmax(logits, tau, noise=noise)
+
+
+@pytest.mark.parametrize("kernel", ["mix_precision", "quantize_channels"])
+def test_mixture_holds_one_quantized_width_at_a_time(kernel):
+    """On a 1 MiB map the mixture peaks at its output, one quantized width
+    and that width's top-code mask (2.125x the input's bytes) under
+    tracemalloc; holding the previous width while the next is built made it
+    3.125x.  `quantize_channels` at K=100 is that same dense mixture."""
+    acts = np.random.default_rng(3).standard_normal((8, 16, 32, 32))
+    betas = [0.2, 0.3, 0.5]
+    if kernel == "mix_precision":
+        peak = allocation_peak(lambda: mix_precision(acts, betas))
+    else:
+        channels = topk_channels(np.arange(16.0), 100)
+        peak = allocation_peak(lambda: quantize_channels(acts, channels, betas))
+    assert peak < 2.5 * acts.nbytes, peak / acts.nbytes

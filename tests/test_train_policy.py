@@ -2,11 +2,10 @@
 rests on: the batched categorical sampler and the no-op update test."""
 
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_reduced_space_24, make_small_subnet
+from conftest import allocation_peak, make_reduced_space_24, make_small_subnet
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from policy_oracle import plain_backward, plain_update, plain_update_bound, reference_train_policy
@@ -107,16 +106,6 @@ def test_update_bound_floor_keeps_its_definition(seed, scale, writes):
     with np.errstate(invalid="ignore", over="ignore"):
         got, expected = update_bound(net, cache), plain_update_bound(net, cache)
     assert np.array_equal(got, expected, equal_nan=True)
-
-
-def allocation_peak(call):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_update_allocates_nothing_weight_sized():
