@@ -202,10 +202,7 @@ class ParamSpace:
 
 
 def space_cardinality(space: ParamSpace) -> int:
-    total = 1
-    for n in space.field_sizes:
-        total *= n
-    return total
+    return math.prod(space.field_sizes)
 
 
 def load_accel(text: str) -> AcceleratorConfig:

@@ -54,6 +54,7 @@ from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
 from .hwsearch import (
     ENGINE_TABLE,
     ENGINES,
+    TAU_FLOOR,
     SearchBudget,
     featurize_subnet,
     generator_forward,
@@ -396,7 +397,7 @@ def cmd_search_accel(args) -> int:
     weights = _from_args(CostWeights, args)
     budget = _budget(args)
     try:  # the generator's head-sample temperature, checked before training
-        final_tau = max(budget.gumbel_tau * budget.tau_decay**budget.steps, 1e-3)
+        final_tau = max(budget.gumbel_tau * budget.tau_decay**budget.steps, TAU_FLOOR)
     except OverflowError:
         final_tau = math.inf
     if final_tau == math.inf:

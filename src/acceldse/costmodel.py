@@ -286,9 +286,6 @@ def _minimum(a, b):
     return np.minimum(a, b) if type(a) is np.ndarray else min(a, b)
 
 
-_ONE = np.int64(1)
-
-
 def tile_size_choices(dim: int) -> tuple[int, ...]:
     """Powers of two from 1 up to the smallest power covering `dim`, capped at 2^10."""
     sizes = []
@@ -474,17 +471,15 @@ def _refetch_loops(loop_order: str, stationary: str) -> tuple:
 
 def _refetch_factors(dataflow: Dataflow, loop_order: str, counts: dict, multi: dict) -> dict:
     """Fetches per distinct tile of each operand, `fetches / unique` in the
-    closed form of the module docstring.  A factor that is 1 for every
-    tiling is `_ONE` itself."""
+    closed form of the module docstring."""
     factors = {}
     for operand, forcing in _refetch_loops(loop_order, STATIONARY_OPERAND[dataflow]):
-        factor = _ONE
+        factor = 1
         for dim, inner in forcing:
             moves = multi[inner[0]]
             for d in inner[1:]:
                 moves = moves | multi[d]
-            step = _select(moves, counts[dim], _ONE)
-            factor = step if factor is _ONE else factor * step
+            factor = factor * _select(moves, counts[dim], 1)
         factors[operand] = factor
     return factors
 
@@ -505,8 +500,7 @@ def _traffic(dataflow: Dataflow, loop_order: str, constants: CostConstants, term
     bytes per operand and in total, memory cycles, and the energy; its
     entries of the `evaluate_tilings` output."""
     factors = _refetch_factors(dataflow, loop_order, terms.counts, terms.multi)
-    fetches = {operand: uniq if factors[operand] is _ONE else uniq * factors[operand]
-               for operand, uniq in terms.unique.items()}
+    fetches = {operand: uniq * factors[operand] for operand, uniq in terms.unique.items()}
     act_b = _cast(fetches["act"], np.float64) * terms.act_tile
     wgt_b = _cast(fetches["wgt"], np.float64) * terms.wgt_tile
     out_b = terms.unique_out_bytes * _cast(2 * factors["out"] - 1, np.float64)

@@ -52,6 +52,9 @@ ENGINE_TABLE = {
 }
 ENGINES = tuple(ENGINE_TABLE)
 
+# The lowest temperature the generator trains or samples its head at.
+TAU_FLOOR = 1e-3
+
 # Feature scales: each operator field's maximum in `OPERATOR_FIELDS` order
 # (kernel, stride, out_rows, in_channels, out_channels, act_bits, wgt_bits),
 # then the operator count's.
@@ -72,8 +75,8 @@ def featurize_subnet(subnet: SubnetDescriptor) -> np.ndarray:
 @dataclass(frozen=True)
 class SearchBudget:
     """The search engines' budget and hyperparameters.  Each `int` field is a
-    plain `int` (not a `bool`, float or numpy integer), the counts positive;
-    each `float` field is finite."""
+    plain `int` (not a `bool`, float or numpy integer), the counts positive
+    and the seed non-negative; each `float` field is finite."""
 
     max_evaluations: int = 1000
     seed: int = 0
@@ -97,6 +100,8 @@ class SearchBudget:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.max_evaluations < 1 or self.steps < 1 or self.samples_per_step < 1:
             raise ValueError("budget counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.gumbel_tau <= 0:
             raise ValueError("gumbel_tau must be positive")
         if not 0 <= self.baseline_decay <= 1:
@@ -151,7 +156,7 @@ class GeneratorNet:
     reproducible.
     """
 
-    N_FEATURES = 8
+    N_FEATURES = len(_FEATURE_SCALES)
 
     def __init__(self, space: ParamSpace, hidden: int = 128, n_blocks: int = 5, seed: int = 0):
         self.space = space
@@ -477,7 +482,7 @@ def train_policy(net: GeneratorNet, feats: np.ndarray, score_fn, budget: SearchB
         baseline = budget.baseline_decay * baseline + (1.0 - budget.baseline_decay) * mean_cost
         best_for_trace = best_cost if best_cost is not None else float(costs.min())
         trace.append(TraceRow(step, mean_cost, best_for_trace, tau, baseline))
-        tau = max(tau * budget.tau_decay, 1e-3)
+        tau = max(tau * budget.tau_decay, TAU_FLOOR)
 
     logits, _ = forward or net.forward(feats)
     final_choices = tuple(int(np.argmax(l)) for l in logits)

@@ -10,7 +10,7 @@ adds `lambda * e_hw` to its task loss inside its own autograd graph.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .costmodel import CostConstants, CostWeights, hw_cost
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .hwsearch import SearchBudget, search_accel
 from .tiling import SubnetMapping, map_subnet
-from .workload import OperatorDescriptor, SubnetDescriptor, operator_from_dict, with_bits
+from .workload import ALLOWED_BITS, OperatorDescriptor, SubnetDescriptor, operator_from_dict
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SupernetState:
     """Supernet layers plus the bitwidth candidates every beta row weights."""
 
     layers: tuple[SupernetLayer, ...]
-    bit_choices: tuple[int, ...] = (2, 4, 8)
+    bit_choices: tuple[int, ...] = ALLOWED_BITS
 
     def __post_init__(self):
         if not self.layers:
@@ -88,7 +88,7 @@ def select_subnet(state: SupernetState) -> SubnetDescriptor:
         kw = int(np.argmax(np.asarray(layer.beta_w[i], dtype=np.float64)))
         ka = int(np.argmax(np.asarray(layer.beta_a[i], dtype=np.float64)))
         operators.append(
-            with_bits(template, act_bits=state.bit_choices[ka], wgt_bits=state.bit_choices[kw])
+            replace(template, act_bits=state.bit_choices[ka], wgt_bits=state.bit_choices[kw])
         )
     if not operators:
         raise ValueError("empty selected subnet")

@@ -7,9 +7,9 @@ and the analytical activation-memory model used to size search-time storage.
 
 Quantization grid: asymmetric, min-shifted.  For a tensor V and bitwidth b the
 scale is s = (max(V) - min(V)) / (2^b - 1), values are shifted by min(V),
-divided by s, clipped to [0, 2^b - 1], rounded half-to-even, and mapped back;
-the top code maps to max(V) exactly.  The rounding mode is stated explicitly
-because example values depend on it.
+divided by s (never below 0), clipped to at most 2^b - 1, rounded
+half-to-even, and mapped back; the top code maps to max(V) exactly.  The
+rounding mode is stated explicitly because example values depend on it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,33 @@ MIN_SCALE = 2.0**-1022
 BETAS_SUM_TOLERANCE = 1e-9
 
 
+def _check_bits(bits) -> int:
+    """``bits`` as a plain int; see `quantize` for its domain."""
+    if (isinstance(bits, bool) or not isinstance(bits, (int, np.integer))
+            or not 1 <= bits <= MAX_BITS):
+        raise ValueError(f"bits must be an int in [1, {MAX_BITS}], got {bits!r}")
+    return int(bits)
+
+
+def _check_mixture(betas, bit_choices) -> np.ndarray:
+    """``betas`` as float64 once the contract of `mix_precision` holds."""
+    if len(bit_choices) == 0:
+        raise ValueError("bit_choices must not be empty")
+    for bits in bit_choices:
+        _check_bits(bits)
+    betas = np.asarray(betas, dtype=np.float64)
+    if betas.shape != (len(bit_choices),):
+        raise ValueError(
+            f"betas must have one weight per bit choice {tuple(bit_choices)}, got shape {betas.shape}"
+        )
+    if not np.all(np.isfinite(betas)):
+        raise ValueError(f"betas must be finite, got {betas.tolist()}")
+    if np.any(betas < 0) or not abs(betas.sum() - 1.0) <= BETAS_SUM_TOLERANCE:
+        raise ValueError("betas must be non-negative and sum to 1 within "
+                         f"{BETAS_SUM_TOLERANCE:g}, got {betas.tolist()}")
+    return betas
+
+
 def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
     """Quantize-dequantize a tensor at the given bitwidth.
 
@@ -55,10 +82,7 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
     non-constant tensor needs a finite ``max - min`` and a scale of at least
     2^-1022.  An empty tensor has no value range and is refused.
     """
-    if (isinstance(bits, bool) or not isinstance(bits, (int, np.integer))
-            or not 1 <= bits <= MAX_BITS):
-        raise ValueError(f"bits must be an int in [1, {MAX_BITS}], got {bits!r}")
-    bits = int(bits)
+    bits = _check_bits(bits)
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError(f"cannot quantize an empty tensor of shape {v.shape}: it has no "
@@ -77,11 +101,10 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
     if scale < MIN_SCALE:
         raise ValueError(f"value range [{lo!r}, {hi!r}] at {bits} bits gives scale {scale!r}, "
                          f"below 2^-1022")
-    # One buffer, the same float operations in the same order as
-    # rint(clip((v - lo) / scale, 0, qmax)) * scale + lo.
+    # One buffer.  (v - lo) / scale is never below 0, so only the top is
+    # clipped: from 52 bits on, a rounded scale can lift the maximum above qmax.
     q = np.subtract(v, lo)
     q /= scale
-    np.maximum(q, 0, out=q)
     np.minimum(q, qmax, out=q)
     np.rint(q, out=q)
     top = q == qmax
@@ -102,25 +125,14 @@ def mix_precision(
     """Convex mixture of the tensor quantized at each candidate bitwidth.
 
     Weights are applied in ``bit_choices`` order and summed from zero.
-    ``bit_choices`` is not empty, and ``betas`` holds one finite,
-    non-negative weight per bit choice, summing to 1 within
-    ``BETAS_SUM_TOLERANCE``.
+    ``bit_choices`` is not empty, each width is one `quantize` takes, and
+    ``betas`` holds one finite, non-negative weight per bit choice, summing
+    to 1 within ``BETAS_SUM_TOLERANCE``, all checked before any work.
 
     It holds one quantized width at a time: each width's array is dropped
     once it is in the sum, so the working set is the output, one quantized
     copy and that copy's top-code mask."""
-    if len(bit_choices) == 0:
-        raise ValueError("bit_choices must not be empty")
-    betas = np.asarray(betas, dtype=np.float64)
-    if betas.shape != (len(bit_choices),):
-        raise ValueError(
-            f"betas must have one weight per bit choice {tuple(bit_choices)}, got shape {betas.shape}"
-        )
-    if not np.all(np.isfinite(betas)):
-        raise ValueError(f"betas must be finite, got {betas.tolist()}")
-    if np.any(betas < 0) or not abs(betas.sum() - 1.0) <= BETAS_SUM_TOLERANCE:
-        raise ValueError("betas must be non-negative and sum to 1 within "
-                         f"{BETAS_SUM_TOLERANCE:g}, got {betas.tolist()}")
+    betas = _check_mixture(betas, bit_choices)
     v = np.asarray(values, dtype=np.float64)
     mixed = np.zeros_like(v)
     for weight, bits in zip(betas, bit_choices):
@@ -222,8 +234,8 @@ def quantize_channels(
     result is a scatter back into the original layout, not a concatenation.
     Selecting every channel in order returns the dense mixture itself.
     ``channels`` is a 1-D integer array or list; an empty one is the identity.
-    Empty activations are refused whatever the selection, as `quantize`
-    refuses an empty tensor.
+    Empty activations, like a mixture `mix_precision` refuses, are refused
+    whatever the selection, as `quantize` refuses an empty tensor.
     """
     a = np.asarray(acts, dtype=np.float64)
     if a.ndim != 4:
@@ -237,6 +249,7 @@ def quantize_channels(
             f"channels must be a 1-D list of integer indices, got dtype {idx.dtype} ndim {idx.ndim}"
         )
     if idx.size == 0:
+        _check_mixture(betas, bit_choices)
         return a.copy()
     if idx.min() < 0 or idx.max() >= a.shape[1]:
         raise IndexError(f"channel index out of range for {a.shape[1]} channels")

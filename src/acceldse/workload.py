@@ -29,7 +29,7 @@ this one, in `acceldse.costmodel.CostConstants`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterator
 
@@ -135,7 +135,3 @@ def load_subnet(text: str) -> SubnetDescriptor:
     ops = read_list(doc["operators"], where, "operators")
     return construct(SubnetDescriptor, where,
                      tuple(operator_from_dict(raw, f"operator {i}") for i, raw in enumerate(ops)))
-
-
-def with_bits(op: OperatorDescriptor, act_bits: int, wgt_bits: int) -> OperatorDescriptor:
-    return replace(op, act_bits=act_bits, wgt_bits=wgt_bits)

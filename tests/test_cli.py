@@ -634,14 +634,19 @@ def test_area_constant_outside_range_exit_2(tmp_path, capsys):
     ("co", "--learning-rate", "-0.1", "learning_rate"),
     ("cost", "--threads", "-7", "threads"),
     ("anneal", "--threads", "0", "threads"),
+    # numpy's seeding refused it with a message naming no field, or not at all
+    ("exhaustive", "--seed", "-1", "seed"),
+    ("anneal", "--seed", "-1", "seed"),
+    ("generator", "--seed", "-1", "seed"),
 ], ids=["lambda-e-nan", "lambda-e-inf", "lambda-a-huge", "lambda-nan",
         "temperature-nan", "cooling-inf", "tau-decay-inf", "learning-rate-negative",
         "temperature-negative", "cooling-negative", "co-learning-rate-negative",
-        "threads-negative", "threads-zero"])
+        "threads-negative", "threads-zero", "exhaustive-seed-negative",
+        "anneal-seed-negative", "generator-seed-negative"])
 def test_flag_outside_range_exit_2(tmp_path, capsys, command, flag, value, field):
     """A weight outside [0, 2**64], a non-finite budget number, a negative
-    rate or a thread count below 1 is a usage error, never a number in the
-    report."""
+    rate or seed, or a thread count below 1 is a usage error, never a
+    number in the report, whatever the engine."""
     workload, space = small_docs(tmp_path)
     state = tmp_path / "state.json"
     state.write_text(json.dumps(SUPERNET))
@@ -654,6 +659,8 @@ def test_flag_outside_range_exit_2(tmp_path, capsys, command, flag, value, field
                    "--engine", "anneal", "--max-evaluations", "5"],
         "generator": ["search", "accel", "--workload", workload, "--space", space,
                       "--engine", "generator", "--steps", "2"],
+        "exhaustive": ["search", "accel", "--workload", workload, "--space", space,
+                       "--engine", "exhaustive"],
     }[command]
     out = tmp_path / "out.json"
     assert main([*argv, flag, value, "--out", str(out)]) == 2

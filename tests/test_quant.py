@@ -12,6 +12,7 @@ from acceldse import (
     quantize_channels,
     topk_channels,
 )
+from acceldse import quant
 from conftest import PROPERTY, allocation_peak
 from quant_oracle import reference_mix_precision, reference_quantize, reference_quantize_channels
 
@@ -202,7 +203,9 @@ def tensors(draw, shapes):
 
 ANY_SHAPE = st.lists(st.integers(1, 5), max_size=3).map(tuple)  # 0-d up to 3-d
 ACTS_SHAPE = st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3))
-BIT_SETS = st.sampled_from(((2, 4, 8), (1, 3)))
+# 52 and 53 bits are where a rounded scale can lift the maximum above the top
+# code, so only the upper clip keeps the reference's two-sided clip's bits
+BIT_SETS = st.sampled_from(((2, 4, 8), (1, 3), (16, 52, 53)))
 
 
 def assert_fresh(out, values, before: bytes):
@@ -315,8 +318,9 @@ def test_quantize_channels_takes_empty_and_unsigned_selections():
 def test_mix_precision_refuses_non_finite_betas(betas):
     with pytest.raises(ValueError, match="^betas must be finite"):
         mix_precision(np.array([0.0, 1.0, 15.0]), betas)
-    with pytest.raises(ValueError, match="^betas must be finite"):
-        quantize_channels(np.ones((1, 2, 1, 1)), [0, 1], betas)
+    for channels in ([0, 1], []):
+        with pytest.raises(ValueError, match="^betas must be finite"):
+            quantize_channels(np.ones((1, 2, 1, 1)), channels, betas)
 
 
 @pytest.mark.parametrize("betas,bit_choices", [
@@ -326,14 +330,34 @@ def test_mix_precision_refuses_non_finite_betas(betas):
     ([0.2, 0.2, 0.2], (2, 4, 8)),
     ([0.5, 0.5 + 2e-9], (2, 4)),
     ([1.0, -0.0, -1e-300], (2, 4, 8)),
+    ([2.0, -1.0, 0.0], (2, 4, 8)),
+    ([1.0], ()),
 ])
 def test_mix_precision_refuses_weights_that_are_no_convex_mixture(betas, bit_choices):
     """An empty bit set, a negative weight, or weights whose sum is off 1 by
-    more than the tolerance are refused on both paths."""
+    more than the tolerance are refused on every path, an empty selection
+    included."""
     with pytest.raises(ValueError, match="^bit_choices must not be empty|^betas must be non-negative"):
         mix_precision(np.array([0.0, 1.0, 15.0]), betas, bit_choices)
-    with pytest.raises(ValueError, match="^bit_choices must not be empty|^betas must be non-negative"):
-        quantize_channels(np.arange(4.0).reshape(1, 2, 2, 1), [1], betas, bit_choices)
+    for channels in ([1], []):
+        with pytest.raises(ValueError,
+                           match="^bit_choices must not be empty|^betas must be non-negative"):
+            quantize_channels(np.arange(4.0).reshape(1, 2, 2, 1), channels, betas, bit_choices)
+
+
+@pytest.mark.parametrize("bit_choices", [(2, 99), (0, 4), (True, 8)])
+def test_mix_precision_refuses_a_width_off_domain_before_any_work(monkeypatch, bit_choices):
+    """A width `quantize` would refuse is refused before any width is
+    quantized, and with an empty selection too."""
+    calls = []
+    monkeypatch.setattr(quant, "quantize", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^bits must be an int in \[1, 53\]"):
+        mix_precision(np.array([0.0, 1.0, 15.0]), [0.5, 0.5], bit_choices)
+    for channels in ([1], []):
+        with pytest.raises(ValueError, match=r"^bits must be an int in \[1, 53\]"):
+            quantize_channels(np.arange(4.0).reshape(1, 2, 2, 1), channels, [0.5, 0.5],
+                              bit_choices)
+    assert calls == []
 
 
 def test_mix_precision_takes_normalized_float_weights():
