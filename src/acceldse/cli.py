@@ -76,10 +76,12 @@ _key_constants = attrgetter(*_CONSTANT_FIELDS, *(f"area.{name}" for name in _ARE
 _ENGINE_FLAGS = (*(f.name for f in fields(SearchBudget) if f.name != "seed"), "gumbel_mode")
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, errors: str = "strict") -> str:
+    """`path`'s text, decoded as UTF-8, as JSON is written (RFC 8259); with
+    `errors="strict"`, a byte that is not UTF-8 cannot be read."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8", errors=errors)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidDocument(f"cannot read {path}: {exc}") from exc
 
 
@@ -146,7 +148,8 @@ def load_constants(text: str) -> CostConstants:
 class CostCache:
     """Append-only memo of cost breakdowns, keyed by a content hash of the
     (operator, accelerator, tiling, constants) tuple.  Corrupt records are
-    skipped with a warning and recomputed.
+    skipped with a warning and recomputed.  Each record is one line of ASCII,
+    as `json.dumps` writes it, so a line with any other byte is corrupt.
 
     The file is opened once, on the first `put`, for appending (`O_APPEND`),
     and each record goes out in one `os.write`, so records of concurrent
@@ -157,13 +160,16 @@ class CostCache:
         self.path = Path(path)
         self._memo: dict[str, CostBreakdown] = {}
         self._fd: int | None = None
-        text = _read_text(path) if self.path.exists() else ""
+        # a byte that is not UTF-8 stays in its line, as a lone surrogate
+        text = _read_text(path, "surrogateescape") if self.path.exists() else ""
         # a truncated last record may lack its newline; never append onto it
         self._needs_newline = bool(text) and not text.endswith("\n")
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    raise InvalidDocument("record is not ASCII")
                 record = read_object(parse_json(line, "record"), "record", _RECORD_KEYS,
                                      _RECORD_KEYS)
                 if type(record["key"]) is not str:

@@ -268,12 +268,6 @@ def _as_i64(values):
     return values if type(values) is np.int64 else np.asarray(values, dtype=np.int64)
 
 
-def _cast(values, dtype):
-    """`values.astype(dtype)`, also for numpy scalars, whose `astype` is
-    several times slower than their constructor."""
-    return values.astype(dtype) if type(values) is np.ndarray else dtype(values)
-
-
 def _select(condition, a, b):
     """`np.where` that keeps scalar inputs scalar."""
     if isinstance(condition, np.ndarray):
@@ -311,9 +305,9 @@ def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
     """Nominal per-fetch bytes for one tile of each operand (padded extents)."""
     halo_w = t_ow * op.stride + op.kernel - 1
     halo_h = t_oh * op.stride + op.kernel - 1
-    act = _cast(t_ic * halo_w * halo_h * op.act_bits, np.float64) / 8.0
-    wgt = _cast(t_ic * t_oc * (op.kernel**2) * op.wgt_bits, np.float64) / 8.0
-    out = _cast(4 * t_oc * t_ow * t_oh, np.float64)
+    act = np.float64(t_ic * halo_w * halo_h * op.act_bits) / 8.0
+    wgt = np.float64(t_ic * t_oc * (op.kernel**2) * op.wgt_bits) / 8.0
+    out = np.float64(4 * t_oc * t_ow * t_oh)
     return act, wgt, out
 
 
@@ -355,10 +349,10 @@ def _config_free_terms(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _Terms
         unique[operand] = uniq
     padded_io = (counts["I"] * t_ic) * (counts["O"] * t_oc)
     padded_hw = (counts["H"] * t_oh) * (counts["W"] * t_ow) * op.kernel**2
-    psum_bytes = 8.0 * (op.out_channels * op.out_rows**2) * _cast(counts["I"], np.float64)
+    psum_bytes = 8.0 * (op.out_channels * op.out_rows**2) * np.float64(counts["I"])
     act_tile, wgt_tile, out_tile = _tile_bytes(op, t_oc, t_ic, t_ow, t_oh)
     multi = {dim: count > 1 for dim, count in counts.items()}
-    unique_out_bytes = _cast(unique["out"], np.float64) * out_tile
+    unique_out_bytes = np.float64(unique["out"]) * out_tile
     return _Terms(counts, multi, unique, padded_io, padded_hw, psum_bytes, act_tile, wgt_tile,
                   unique_out_bytes)
 
@@ -488,7 +482,7 @@ def _energy_base(op: OperatorDescriptor, constants: CostConstants, terms: _Terms
     """The energy in pJ that no config field changes: the MAC term plus the
     SRAM term.  The traffic stage adds the DRAM term to it, in the order
     `(mac + sram) + dram` that the sum of all three takes."""
-    padded_macs = _cast(terms.padded_io * terms.padded_hw, np.float64)
+    padded_macs = np.float64(terms.padded_io * terms.padded_hw)
     mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
     sram_bytes = padded_macs * (op.act_bits + op.wgt_bits) / 8.0 + terms.psum_bytes
     return mac_pj + sram_bytes * constants.e_sram_pj_per_byte
@@ -501,12 +495,12 @@ def _traffic(dataflow: Dataflow, loop_order: str, constants: CostConstants, term
     entries of the `evaluate_tilings` output."""
     factors = _refetch_factors(dataflow, loop_order, terms.counts, terms.multi)
     fetches = {operand: uniq * factors[operand] for operand, uniq in terms.unique.items()}
-    act_b = _cast(fetches["act"], np.float64) * terms.act_tile
-    wgt_b = _cast(fetches["wgt"], np.float64) * terms.wgt_tile
-    out_b = terms.unique_out_bytes * _cast(2 * factors["out"] - 1, np.float64)
+    act_b = np.float64(fetches["act"]) * terms.act_tile
+    wgt_b = np.float64(fetches["wgt"]) * terms.wgt_tile
+    out_b = terms.unique_out_bytes * np.float64(2 * factors["out"] - 1)
     total_b = act_b + wgt_b + out_b
     return {
-        "mem_cycles": _cast(np.ceil(total_b / constants.dram_bw_bytes_per_cycle), np.int64),
+        "mem_cycles": np.int64(np.ceil(total_b / constants.dram_bw_bytes_per_cycle)),
         "energy_mj": (energy_base + total_b * constants.e_dram_pj_per_byte) * 1e-9,
         "dram_bytes": total_b,
         "act_bytes": act_b,
@@ -525,7 +519,7 @@ def _combine(compute, traffic: dict, f_clk_mhz: float) -> dict:
     and latency; the outputs of `evaluate_tilings`."""
     cycles = np.maximum(compute, traffic["mem_cycles"])
     return {"cycles": cycles, "compute_cycles": compute,
-            "latency_ms": _cast(cycles, np.float64) / (f_clk_mhz * 1000.0), **traffic}
+            "latency_ms": np.float64(cycles) / (f_clk_mhz * 1000.0), **traffic}
 
 
 def _memoized(table: _GridTable | None, stage: str, key: tuple, function, *args):

@@ -82,47 +82,30 @@ _LEAF_TEXT = {float: float.__repr__, int: int.__repr__, str: _string}
 def _write(value, chunks: list, newline: str, write) -> None:
     """Append the text of the container `value`, whose closing bracket sits
     after `newline` (a newline and the indent of its level).  Each leaf
-    goes out in one chunk with the separator and key before it; after each
-    item, a full batch of `chunks` goes to `write` joined, and `chunks`
-    starts over.  Only a float's text can be a key of `_NON_FINITE`: every
-    other leaf's is quoted, a number or a literal."""
+    goes out in one chunk with the separator, and an object's key, before
+    it; after each item, a full batch of `chunks` goes to `write` joined,
+    and `chunks` starts over.  Only a float's text can be a key of
+    `_NON_FINITE`: every other leaf's is quoted, a number or a literal."""
+    keyed = isinstance(value, dict)
+    if not value:
+        chunks.append("{}" if keyed else "[]")
+        return
     inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        sep, closer = "{" + inner, newline + "}"
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = sep + _string(key) + ": "
-            text = _LEAF_TEXT.get(type(item), _scalar)(item)
-            if text is None:
-                chunks.append(head)
-                _write(item, chunks, inner, write)
-            else:
-                chunks.append(head + _NON_FINITE.get(text, text))
-            if len(chunks) >= _BATCH:
-                write("".join(chunks))
-                chunks.clear()
-            sep = "," + inner
-    else:
-        if not value:
-            chunks.append("[]")
-            return
-        sep, closer = "[" + inner, newline + "]"
-        for item in value:
-            text = _LEAF_TEXT.get(type(item), _scalar)(item)
-            if text is None:
-                chunks.append(sep)
-                _write(item, chunks, inner, write)
-            else:
-                chunks.append(sep + _NON_FINITE.get(text, text))
-            if len(chunks) >= _BATCH:
-                write("".join(chunks))
-                chunks.clear()
-            sep = "," + inner
-    chunks.append(closer)
+    head = ("{" if keyed else "[") + inner
+    for key, item in value.items() if keyed else enumerate(value):
+        if keyed:
+            head += _string(key) + ": "  # a key that is no str raises TypeError
+        text = _LEAF_TEXT.get(type(item), _scalar)(item)
+        if text is None:
+            chunks.append(head)
+            _write(item, chunks, inner, write)
+        else:
+            chunks.append(head + _NON_FINITE.get(text, text))
+        if len(chunks) >= _BATCH:
+            write("".join(chunks))
+            chunks.clear()
+        head = "," + inner
+    chunks.append(newline + ("}" if keyed else "]"))
 
 
 def _at(where: str, key) -> str:

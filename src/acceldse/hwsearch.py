@@ -182,10 +182,8 @@ class GeneratorNet:
         self.heads = [
             {"p": init(h, (size, h)), "q": init(h, (size,))} for size in space.field_sizes
         ]
-        # What `backward` writes its gradients into, in `parameters()` order,
-        # and what `update_bound` writes |w| into, one array per weight shape.
+        # What `backward` writes its gradients into, in `parameters()` order.
         self._grads = [np.empty_like(w) for w in self.parameters()]
-        self._scratch = {w.shape: np.empty_like(w) for w in self.parameters()}
 
     @property
     def head_sizes(self) -> tuple[int, ...]:
@@ -366,18 +364,14 @@ def update_bound(net: GeneratorNet, cache) -> tuple[float, float]:
     is `spacing(min|w|) / 4`, and NaN when any `|w|` is NaN or inf, as
     `spacing` is there.  A NaN or inf among the weights or activations makes
     `C` NaN or inf, or `floor` NaN, and either fails `update_is_no_op`.
-    Each `|w|` is written into the net's scratch array of its shape.
     """
     x, _, block_cache, a_final = cache
 
     def amax(v):
         return np.abs(v).max()
 
-    def absolute(w):
-        return np.abs(w, out=net._scratch[w.shape])
-
     def colsum(m):
-        return absolute(m).sum(axis=0).max()
+        return np.abs(m).sum(axis=0).max()
 
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN `C` never skips
         da = sum(colsum(head["p"]) for head in net.heads)
@@ -389,7 +383,7 @@ def update_bound(net: GeneratorNet, cache) -> tuple[float, float]:
         terms += [da * amax(x), da]
     smallest, largest = math.inf, 0.0
     for w in net.parameters():
-        a = absolute(w)
+        a = np.abs(w)
         smallest, largest = np.minimum(smallest, a.min()), np.maximum(largest, a.max())
     floor = np.spacing(smallest) / 4 if np.isfinite(largest) else math.nan
     return float(np.max(terms)), float(floor)

@@ -322,14 +322,18 @@ def test_cache_corrupt_record_recovered(docs, tmp_path, capsys):
             "--tiling", docs["best.json"], "--cache", str(cache)]
     assert main(args + ["--out", str(out)]) == 0
     good = out.read_bytes()
-    # replace the cache with a single truncated record: the run must warn,
-    # recompute, and still succeed with identical output
-    cache.write_text('{"key": "deadbeef", "cost": {trunc')
-    assert main(args + ["--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "corrupt cache record" in err
-    assert out.read_bytes() == good
-    assert len(cache.read_text().splitlines()) == 2  # corrupt line + recomputed record
+    capsys.readouterr()
+    # replace the cache with a single truncated record, a line that is not
+    # UTF-8, or one with a line separator that is not a newline (U+2028): the
+    # run must warn once, recompute, and still succeed with identical output
+    for corrupt in (b'{"key": "deadbeef", "cost": {trunc', b"\xff\n",
+                    '{"key": "a"}\u2028{"key": "b"}\n'.encode()):
+        cache.write_bytes(corrupt)
+        assert main(args + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "corrupt cache record" in err[0] and ":1: " in err[0], err
+        assert out.read_bytes() == good
+        assert len(cache.read_bytes().splitlines()) == 2  # corrupt line + recomputed record
 
 
 @pytest.mark.parametrize("field, value", [
@@ -786,12 +790,14 @@ VALID_DOCS = {
 
 
 def run_with_document(tmp_path, kind, text):
-    """Run the command that reads a document of `kind`, given as `text`; the
-    other inputs are the valid documents above."""
+    """Run the command that reads a document of `kind`, given as `text` (a
+    str in UTF-8, or bytes as they are); the other inputs are the valid
+    documents above."""
     paths = {}
     for name, doc in VALID_DOCS.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(text if name == kind else json.dumps(doc))
+        data = text if name == kind else json.dumps(doc)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
         paths[name] = str(path)
     if kind == "space":
         argv = ["search", "accel", "--workload", paths["workload"], "--space", paths["space"],
@@ -803,6 +809,18 @@ def run_with_document(tmp_path, kind, text):
         argv = ["cost", "--workload", paths["workload"], "--accel", paths["accel"],
                 "--tiling", paths["tiling"], "--constants", paths["constants"]]
     return main([*argv, "--out", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_DOCS))
+def test_document_not_utf8_exit_2_naming_its_file(tmp_path, capsys, kind):
+    """A document is read as UTF-8, whatever the locale; one that is not
+    fails naming its file, whichever of `--workload`, `--accel`, `--tiling`,
+    `--constants`, `--space` and `--state` gave it."""
+    text = b"\xff" + json.dumps(VALID_DOCS[kind]).encode()
+    assert run_with_document(tmp_path, kind, text) == 2
+    err = capsys.readouterr().err.splitlines()
+    path = tmp_path / f"{kind}.json"
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}: "), err
 
 
 def replaced(doc, path, value):

@@ -13,7 +13,7 @@ from acceldse import (
     topk_channels,
 )
 from acceldse import quant
-from conftest import PROPERTY, allocation_peak
+from conftest import PROPERTY, allocation_peak, make_synthetic_subnet_22
 from quant_oracle import reference_mix_precision, reference_quantize, reference_quantize_channels
 
 
@@ -167,6 +167,38 @@ def test_memory_model():
         if prev is not None:
             assert r < prev
         prev = r
+
+
+def test_memory_model_ratio_measured_on_the_22_operator_maps():
+    """Held as one search step holds them (the float activations and one
+    quantized copy per width of (2, 4, 8)), the 22-operator subnet's feature
+    maps at batch 1 peak at 4.01x their bytes whole and at 1.13x with only
+    the K=3% group quantized, gathered as `quantize_channels` gathers it: a
+    measured ratio of 3.55, short of the model's 3.67 by the gather copy and
+    `topk_channels`' floor of one channel.  The peaks depend on the shapes
+    alone, not on the values."""
+    rng = np.random.default_rng(1)
+    maps = [(rng.normal(size=(1, op.out_channels, op.out_rows, op.out_rows)),
+             rng.uniform(0.1, 2.0, op.out_channels)) for op in make_synthetic_subnet_22()]
+    act_bytes = sum(acts.nbytes for acts, _ in maps)
+
+    def hold(sparse):
+        held = []
+        for acts, gammas in maps:
+            a = acts.copy()
+            group = a[:, topk_channels(gammas, 3)] if sparse else a
+            held += [a, group] + [quantize(group, bits)[0] for bits in (2, 4, 8)]
+        return held
+
+    group_share = sum(max(1, op.out_channels * 3 // 100) * op.out_rows**2
+                      for op in make_synthetic_subnet_22()) * 8 / act_bytes
+    assert 0.0313 < group_share < 0.0314  # the floor of one channel: above 3%
+    whole = allocation_peak(lambda: hold(False)) / act_bytes
+    sparse = allocation_peak(lambda: hold(True)) / act_bytes
+    assert 4 <= whole < 4.01  # a copy per width, plus one map's temporaries
+    assert 1 + 4 * group_share <= sparse < 1.13
+    model = memory_model(3, 3, 22, float(act_bytes)).ratio
+    assert 3.54 < whole / sparse < 3.56 < model
 
 
 

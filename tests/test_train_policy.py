@@ -110,8 +110,9 @@ def test_update_bound_floor_keeps_its_definition(seed, scale, writes):
 
 def test_update_allocates_nothing_weight_sized():
     """After one warm update, neither an update nor the no-op bound peaks at
-    a quarter of the net's weight bytes (1.68 MB on the full space): their
-    temporaries are vectors, not weight-sized arrays."""
+    a quarter of the net's weight bytes (0.42 of 1.68 MB on the full space):
+    an update's temporaries are vectors, and the bound holds at most one
+    weight-sized temporary at a time."""
     net = GeneratorNet(ParamSpace(), seed=0)
     rng = np.random.default_rng(0)
     _, cache = net.forward(FEATS)
