@@ -48,6 +48,7 @@ from .documents import (
     read_list,
     read_number,
     read_object,
+    record_writer,
     write_json,
 )
 from .errors import InvalidDocument, NoFeasibleTiling, SpaceTooLarge
@@ -71,6 +72,7 @@ _RECORD_KEYS = ("key", "cost")
 # A memo record's cost: `cycles` is its one integer field, the rest are numbers.
 _BREAKDOWN_READERS = tuple((name, read_int if name == "cycles" else read_number)
                            for name in BREAKDOWN_FIELDS)
+_record_line = record_writer(_RECORD_KEYS, BREAKDOWN_FIELDS)
 _key_constants = attrgetter(*_CONSTANT_FIELDS, *(f"area.{name}" for name in _AREA_FIELDS))
 # The flags only some engines read: the budget's but `--seed`, which every report echoes.
 _ENGINE_FLAGS = (*(f.name for f in fields(SearchBudget) if f.name != "seed"), "gumbel_mode")
@@ -210,7 +212,7 @@ class CostCache:
     def put(self, key: str, cost: CostBreakdown) -> None:
         if key in self._memo:
             return
-        record = json.dumps({"key": key, "cost": cost.to_dict()}) + "\n"
+        record = _record_line(key, cost)
         data = (("\n" if self._needs_newline else "") + record).encode()
         try:
             if self._fd is None:

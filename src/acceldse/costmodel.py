@@ -47,13 +47,17 @@ cycles = max(compute_cycles, ceil(dram_bytes / dram_bw)), and
 latency_ms * f_clk_mhz * 1000 == cycles exactly.
 
 Every function here takes its tile sizes in one of three shapes, always in
-`TilingPlan` field order (t_oc, t_ic, t_ow, t_oh): numpy int64 scalars (one
-tiling; the K=1 views `estimate_cost` and `dram_traffic`), flat arrays (one
-tiling per element), or an open grid (`np.meshgrid(..., sparse=True)`: one
-axis per tile dimension).  On a grid each term is computed on the axes it
-depends on, so tile counts, halos and per-operand tile bytes are computed on
-at most 11 values, and only the terms that combine all four dimensions have
-the grid's full size.  An operator's own candidate grid is cached per
+`TilingPlan` field order (t_oc, t_ic, t_ow, t_oh): Python `int`s (one tiling,
+the K=1 views `estimate_cost` and `dram_traffic`; numpy integer scalars are
+taken as `int`s), flat arrays (one tiling per element), or an open grid
+(`np.meshgrid(..., sparse=True)`: one axis per tile dimension).  At one
+tiling every term is a Python `int`, `float` or `bool`, never a numpy
+scalar, so each output is one too: the scalar helpers (`_select`,
+`_minimum`, `_maximum`, `_float`, `_ceil_int`) apply numpy only to arrays.
+On a grid each term is computed on the axes it depends on, so tile counts,
+halos and per-operand tile bytes are computed on at most 11 values, and
+only the terms that combine all four dimensions have the grid's full size.
+An operator's own candidate grid is cached per
 operator shape (`_grid_table`) together with every term no config field
 changes: tile counts, distinct tiles per operand, padded MACs (as two
 factors), partial-sum bytes, and nominal and clipped tile bytes, all
@@ -96,7 +100,9 @@ Stages
 Each element sees the same float operations in every shape, integers are
 exact in int64 and byte counts are exact multiples of 1/8 in float64 (for
 operators inside the range `workload.OperatorDescriptor` accepts), so the
-three shapes give bit-identical results, memoized or not.
+three shapes give bit-identical results, memoized or not.  One tiling's
+integers are Python `int`s, equal to the int64 values because nothing in
+that range overflows int64, and its floats are the same IEEE doubles.
 
 `COST_MODEL_VERSION` names this model.  Any change to the model's outputs
 bumps it, so that the `--cache` memo, whose key includes it, never serves a
@@ -105,6 +111,7 @@ cost the current model would not compute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -263,9 +270,11 @@ def _ceil_div(a, b):
 
 
 def _as_i64(values):
-    """Tile sizes as int64: an int64 scalar stays a scalar, anything else
-    becomes an int64 array (flat or an open grid)."""
-    return values if type(values) is np.int64 else np.asarray(values, dtype=np.int64)
+    """Tile sizes as a Python `int` (one tiling, from an `int` or a numpy
+    integer scalar) or an int64 array (flat or an open grid)."""
+    if isinstance(values, (int, np.integer)):
+        return int(values)
+    return np.asarray(values, dtype=np.int64)
 
 
 def _select(condition, a, b):
@@ -278,6 +287,21 @@ def _select(condition, a, b):
 def _minimum(a, b):
     """`np.minimum` that keeps scalar inputs scalar."""
     return np.minimum(a, b) if type(a) is np.ndarray else min(a, b)
+
+
+def _maximum(a, b):
+    """`np.maximum` that keeps scalar inputs scalar."""
+    return np.maximum(a, b) if type(a) is np.ndarray else max(a, b)
+
+
+def _float(values):
+    """Values as float64: a Python `float` for a scalar, else an array."""
+    return np.float64(values) if type(values) is np.ndarray else float(values)
+
+
+def _ceil_int(values):
+    """`ceil` as int64: a Python `int` for a scalar, else an array."""
+    return np.int64(np.ceil(values)) if type(values) is np.ndarray else math.ceil(values)
 
 
 def tile_size_choices(dim: int) -> tuple[int, ...]:
@@ -305,9 +329,9 @@ def _tile_bytes(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh):
     """Nominal per-fetch bytes for one tile of each operand (padded extents)."""
     halo_w = t_ow * op.stride + op.kernel - 1
     halo_h = t_oh * op.stride + op.kernel - 1
-    act = np.float64(t_ic * halo_w * halo_h * op.act_bits) / 8.0
-    wgt = np.float64(t_ic * t_oc * (op.kernel**2) * op.wgt_bits) / 8.0
-    out = np.float64(4 * t_oc * t_ow * t_oh)
+    act = t_ic * halo_w * halo_h * op.act_bits / 8.0
+    wgt = t_ic * t_oc * (op.kernel**2) * op.wgt_bits / 8.0
+    out = _float(4 * t_oc * t_ow * t_oh)
     return act, wgt, out
 
 
@@ -349,10 +373,10 @@ def _config_free_terms(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _Terms
         unique[operand] = uniq
     padded_io = (counts["I"] * t_ic) * (counts["O"] * t_oc)
     padded_hw = (counts["H"] * t_oh) * (counts["W"] * t_ow) * op.kernel**2
-    psum_bytes = 8.0 * (op.out_channels * op.out_rows**2) * np.float64(counts["I"])
+    psum_bytes = 8.0 * (op.out_channels * op.out_rows**2) * counts["I"]
     act_tile, wgt_tile, out_tile = _tile_bytes(op, t_oc, t_ic, t_ow, t_oh)
     multi = {dim: count > 1 for dim, count in counts.items()}
-    unique_out_bytes = np.float64(unique["out"]) * out_tile
+    unique_out_bytes = unique["out"] * out_tile
     return _Terms(counts, multi, unique, padded_io, padded_hw, psum_bytes, act_tile, wgt_tile,
                   unique_out_bytes)
 
@@ -482,7 +506,7 @@ def _energy_base(op: OperatorDescriptor, constants: CostConstants, terms: _Terms
     """The energy in pJ that no config field changes: the MAC term plus the
     SRAM term.  The traffic stage adds the DRAM term to it, in the order
     `(mac + sram) + dram` that the sum of all three takes."""
-    padded_macs = np.float64(terms.padded_io * terms.padded_hw)
+    padded_macs = _float(terms.padded_io * terms.padded_hw)
     mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
     sram_bytes = padded_macs * (op.act_bits + op.wgt_bits) / 8.0 + terms.psum_bytes
     return mac_pj + sram_bytes * constants.e_sram_pj_per_byte
@@ -495,12 +519,12 @@ def _traffic(dataflow: Dataflow, loop_order: str, constants: CostConstants, term
     entries of the `evaluate_tilings` output."""
     factors = _refetch_factors(dataflow, loop_order, terms.counts, terms.multi)
     fetches = {operand: uniq * factors[operand] for operand, uniq in terms.unique.items()}
-    act_b = np.float64(fetches["act"]) * terms.act_tile
-    wgt_b = np.float64(fetches["wgt"]) * terms.wgt_tile
-    out_b = terms.unique_out_bytes * np.float64(2 * factors["out"] - 1)
+    act_b = fetches["act"] * terms.act_tile
+    wgt_b = fetches["wgt"] * terms.wgt_tile
+    out_b = terms.unique_out_bytes * (2 * factors["out"] - 1)
     total_b = act_b + wgt_b + out_b
     return {
-        "mem_cycles": np.int64(np.ceil(total_b / constants.dram_bw_bytes_per_cycle)),
+        "mem_cycles": _ceil_int(total_b / constants.dram_bw_bytes_per_cycle),
         "energy_mj": (energy_base + total_b * constants.e_dram_pj_per_byte) * 1e-9,
         "dram_bytes": total_b,
         "act_bytes": act_b,
@@ -517,9 +541,9 @@ def _combine(compute, traffic: dict, f_clk_mhz: float) -> dict:
     """Combine stage, computed for every config: the traffic stage's entries
     plus compute cycles, cycles as the larger of compute and memory cycles,
     and latency; the outputs of `evaluate_tilings`."""
-    cycles = np.maximum(compute, traffic["mem_cycles"])
+    cycles = _maximum(compute, traffic["mem_cycles"])
     return {"cycles": cycles, "compute_cycles": compute,
-            "latency_ms": np.float64(cycles) / (f_clk_mhz * 1000.0), **traffic}
+            "latency_ms": cycles / (f_clk_mhz * 1000.0), **traffic}
 
 
 def _memoized(table: _GridTable | None, stage: str, key: tuple, function, *args):
@@ -548,13 +572,14 @@ def evaluate_tilings(
     t_ow,
     t_oh,
     constants: CostConstants | None = None,
-) -> dict[str, np.ndarray]:
-    """Cost evaluation over int64 scalars, flat arrays or an open grid of
-    tile sizes; each output has the broadcast shape of the inputs it
-    depends on.  On the operator's own candidate grid the config-independent
-    terms are read from its cached table and each stage's outputs from its
-    memo slot when the stage's key repeats; outputs read from either are
-    read-only arrays.
+) -> dict:
+    """Cost evaluation over one tiling (ints or numpy integer scalars),
+    flat arrays or an open grid of tile sizes.  At one tiling each output is
+    a Python `int` or `float`; otherwise it is an array with the broadcast
+    shape of the inputs it depends on.  On the operator's own candidate
+    grid the config-independent terms are read from its cached table and
+    each stage's outputs from its memo slot when the stage's key repeats;
+    outputs read from either are read-only arrays.
 
     Feasibility is not checked here: `fits_caches_mask` gives it for the same
     inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
@@ -578,7 +603,8 @@ def evaluate_tilings(
 
 def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
     """Cache-fit test per tiling, over the same input shapes as
-    `evaluate_tilings`: the clipped tile of each operand against its cache."""
+    `evaluate_tilings`: the clipped tile of each operand against its cache;
+    a Python `bool` at one tiling."""
     key = (cfg.act_cache_kb, cfg.wgt_cache_kb, cfg.out_cache_kb)
     table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
     if table is None:
@@ -588,13 +614,13 @@ def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic,
     return _memoized(table, "fit", key, _fit_mask, clipped, *key)
 
 
-def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, np.generic]:
-    """`evaluate_tilings` at one tiling, as int64 scalars; the tiling must
-    fit the caches."""
-    t = [np.int64(v) for v in tile.as_tuple()]
+def _evaluate_one(op, cfg, tile: TilingPlan, constants=None) -> dict[str, int | float]:
+    """`evaluate_tilings` at one tiling, its outputs Python `int`s and
+    `float`s; the tiling must fit the caches."""
+    t = tile.as_tuple()
     if not fits_caches_mask(op, cfg, *t):
         raise NoFeasibleTiling(
-            f"tiling {tile.as_tuple()} does not fit caches "
+            f"tiling {t} does not fit caches "
             f"({cfg.act_cache_kb}/{cfg.wgt_cache_kb}/{cfg.out_cache_kb} KB)"
         )
     return evaluate_tilings(op, cfg, *t, constants=constants)
@@ -604,14 +630,14 @@ def dram_traffic(op: OperatorDescriptor, cfg: AcceleratorConfig, tile: TilingPla
     """DRAM bytes per operand under the re-fetch rule, plus fetch counts."""
     out = _evaluate_one(op, cfg, tile)
     return TrafficBreakdown(
-        act_bytes=float(out["act_bytes"]),
-        wgt_bytes=float(out["wgt_bytes"]),
-        out_bytes=float(out["out_bytes"]),
-        total_bytes=float(out["dram_bytes"]),
-        act_fetches=int(out["act_fetches"]),
-        wgt_fetches=int(out["wgt_fetches"]),
-        out_fetches=int(out["out_fetches"]),
-        out_unique_tiles=int(out["out_unique_tiles"]),
+        act_bytes=out["act_bytes"],
+        wgt_bytes=out["wgt_bytes"],
+        out_bytes=out["out_bytes"],
+        total_bytes=out["dram_bytes"],
+        act_fetches=out["act_fetches"],
+        wgt_fetches=out["wgt_fetches"],
+        out_fetches=out["out_fetches"],
+        out_unique_tiles=out["out_unique_tiles"],
     )
 
 
@@ -625,10 +651,10 @@ def estimate_cost(
     constants = constants or CostConstants()
     out = _evaluate_one(op, cfg, tile, constants)
     return CostBreakdown(
-        energy_mj=float(out["energy_mj"]),
-        latency_ms=float(out["latency_ms"]),
-        cycles=int(out["cycles"]),
-        dram_bytes=float(out["dram_bytes"]),
+        energy_mj=out["energy_mj"],
+        latency_ms=out["latency_ms"],
+        cycles=out["cycles"],
+        dram_bytes=out["dram_bytes"],
         area_mm2=area(cfg, constants.area),
     )
 

@@ -11,6 +11,8 @@ Messages are built only when a check fails, so large documents read fast.
 `write_json` writes a report exactly as ``json.dumps(doc, indent=2)`` plus a
 newline, without the pure-Python encoder that ``indent`` selects, and hands
 it to its destination in bounded pieces; `json_text` joins those pieces.
+`record_writer` formats one-line records, such as the `--cache` memo's, as
+``json.dumps`` would, in one string each, by the same leaf rules.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _string
+from operator import attrgetter
 
 from .errors import InvalidDocument
 
@@ -77,6 +80,32 @@ def _scalar(value) -> str | None:
 
 # The text of a leaf of exactly one of these types; any other value goes through `_scalar`.
 _LEAF_TEXT = {float: float.__repr__, int: int.__repr__, str: _string}
+
+
+def _leaf(value) -> str:
+    """The text of a leaf as ``json.dumps`` writes it; a container raises
+    `TypeError`."""
+    text = _LEAF_TEXT.get(type(value), _scalar)(value)
+    if text is None:
+        raise TypeError(f"a {type(value).__name__} is not a leaf")
+    return _NON_FINITE.get(text, text)
+
+
+def record_writer(outer, names):
+    """`line(key, obj)`, the one-line record that holds `key` and the fields
+    `names` of `obj` under the two keys of `outer`: exactly
+    ``json.dumps({outer[0]: key, outer[1]: {name: getattr(obj, name) for
+    name in names}}) + "\\n"``, formatted in one string.  `names` holds
+    at least two fields; `key` and every field must be leaves."""
+    head, inner, *rest = [_string(name).replace("%", "%%") for name in (*outer, *names)]
+    template = "{" + head + ": %s, " + inner + ": {" + ", ".join(
+        name + ": %s" for name in rest) + "}}\n"
+    values = attrgetter(*names)  # a tuple: two or more names
+
+    def line(key, obj) -> str:
+        return template % (_leaf(key), *map(_leaf, values(obj)))
+
+    return line
 
 
 def _write(value, chunks: list, newline: str, write) -> None:

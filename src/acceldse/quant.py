@@ -191,14 +191,19 @@ def gumbel_softmax(
 
 def channel_importance(alpha_prev, gamma_matrix) -> np.ndarray:
     """Per-channel importance: operator weights combined with each operator's
-    per-channel batch-norm scales."""
+    per-channel batch-norm scales, ``(α0·γ0 + α1·γ1) + α2·γ2 + ...``.
+    The products are summed in operator order, with no matrix product, so
+    the bits do not depend on the CPU or the BLAS build."""
     alpha = np.asarray(alpha_prev, dtype=np.float64)
     gammas = np.asarray(gamma_matrix, dtype=np.float64)
     if alpha.ndim != 1 or gammas.ndim != 2 or gammas.shape[0] != alpha.shape[0]:
         raise ValueError(
             f"shape mismatch: alpha {alpha.shape} vs gamma matrix {gammas.shape}"
         )
-    return alpha @ gammas
+    importance = np.zeros(gammas.shape[1])
+    for weight, scales in zip(alpha, gammas):
+        importance += weight * scales
+    return importance
 
 
 def topk_channels(importance, k_percent: float) -> np.ndarray:

@@ -3,9 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from acceldse import (
     AcceleratorConfig,
+    AreaConstants,
+    CostConstants,
     Dataflow,
     OperatorDescriptor,
     ParamSpace,
@@ -78,6 +81,33 @@ def largest_in_range(shape: dict, field: str, cap: int) -> int:
         mid = (lo + hi + 1) // 2
         lo, hi = (mid, hi) if in_range(mid) else (lo, mid - 1)
     return lo
+
+
+SHAPE_FIELDS = ("kernel", "stride", "out_rows", "in_channels", "out_channels")
+
+
+@st.composite
+def range_operators(draw):
+    """Any operator of the operator range: each shape field, in a drawn
+    order, up to the largest value the fields drawn before it admit."""
+    shape = {**dict.fromkeys(SHAPE_FIELDS, 1),
+             "act_bits": draw(st.sampled_from([2, 4, 8])),
+             "wgt_bits": draw(st.sampled_from([2, 4, 8]))}
+    for field in draw(st.permutations(SHAPE_FIELDS)):
+        shape[field] = draw(st.integers(1, largest_in_range(shape, field, 2**63)))
+    return OperatorDescriptor(**shape)
+
+
+def _in_range(low):
+    """Floats of the closed range [low, 2**64], its edges drawn on purpose."""
+    return st.sampled_from([low, 2.0**64]) | st.floats(low, 2.0**64)
+
+
+# Any constants of the constants' range (see `CostConstants`).
+range_constants = st.builds(
+    CostConstants, _in_range(2.0**-64), _in_range(2.0**-13), _in_range(2.0**-64),
+    _in_range(2.0**-64), _in_range(2.0**-64),
+    st.builds(AreaConstants, _in_range(0.0), _in_range(0.0), _in_range(0.0)))
 
 
 def make_synthetic_subnet_22() -> SubnetDescriptor:

@@ -15,12 +15,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "acceldse"
 
 # Numpy's names that reach BLAS or LAPACK.
 BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg"}
-# (module, function qualname): the generator net, and a 3-term importance
-# product that only ranks channels.
+# (module, function qualname): the generator net.
 ALLOWED = {
     ("hwsearch.py", "GeneratorNet.forward"),
     ("hwsearch.py", "GeneratorNet.backward"),
-    ("quant.py", "channel_importance"),
 }
 
 
@@ -52,7 +50,7 @@ def blas_uses(tree):
     return found
 
 
-def test_blas_only_in_the_generator_net_and_channel_importance():
+def test_blas_only_in_the_generator_net():
     offending = [
         f"{path.name}:{line} {what} in {scope or '<module>'}"
         for path in sorted(SRC.glob("*.py"))

@@ -1,4 +1,5 @@
-"""The report writer, whole and streamed, against `json.dumps(doc, indent=2)`."""
+"""The report writer, whole and streamed, against `json.dumps(doc, indent=2)`, and the
+memo record writer against `json.dumps(record)`."""
 
 import json
 import math
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acceldse.documents import _BATCH, json_text, write_json
+from acceldse.cli import _record_line
+from acceldse.costmodel import CostBreakdown
+from acceldse.documents import _BATCH, json_text, record_writer, write_json
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, math.nan,
                math.inf, -math.inf, 0.1, 1e16, 1e-7]
@@ -87,3 +90,32 @@ def test_unwritable_values_raise_type_error(doc):
         json_text(doc)
     with pytest.raises(TypeError):
         streamed(doc)
+
+
+# Subnormal, huge, signed-zero and non-finite floats, and cycles up to int64's top.
+record_floats = st.sampled_from(EDGE_FLOATS + [2.0**-1074, 2.0**-1022, 2.0**1023, 1e-310]) | floats
+breakdowns = st.builds(CostBreakdown, record_floats, record_floats,
+                       st.sampled_from([0, 1, 2**53 + 1, 2**63 - 1]) | st.integers(0, 2**63 - 1),
+                       record_floats, record_floats)
+record_keys = st.text("0123456789abcdef", min_size=64, max_size=64) | st.sampled_from(EDGE_STRINGS)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(record_keys, breakdowns)
+def test_memo_record_is_what_json_dumps_writes(key, cost):
+    assert _record_line(key, cost) == json.dumps({"key": key, "cost": cost.to_dict()}) + "\n"
+
+
+def test_record_writer_quotes_names_with_percent_signs():
+    class Obj:
+        a_d = "%d"
+        b = -0.0
+
+    line = record_writer(("k%s", "c%"), ("a_d", "b"))
+    assert line("%s", Obj) == json.dumps({"k%s": "%s", "c%": {"a_d": "%d", "b": -0.0}}) + "\n"
+
+
+@pytest.mark.parametrize("value", [[1.0], {"a": 1}, np.float32(1.0), np.int64(1)], ids=repr)
+def test_record_writer_refuses_what_is_no_leaf(value):
+    with pytest.raises(TypeError):
+        _record_line("k", CostBreakdown(value, 1.0, 1, 1.0, 1.0))

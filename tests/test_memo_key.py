@@ -22,10 +22,7 @@ from acceldse import (
 from acceldse.cli import CostCache, main
 from acceldse.costmodel import COST_MODEL_VERSION, TILE_SIZES
 from acceldse.workload import encode_operator
-from conftest import largest_in_range, make_small_subnet
-
-SHAPE_FIELDS = ("kernel", "stride", "out_rows", "in_channels", "out_channels")
-
+from conftest import make_small_subnet, range_constants, range_operators
 
 def reference_key(op, cfg, tile, constants) -> str:
     """The memo key's definition: sha256 of the sorted-key JSON of the payload."""
@@ -42,37 +39,14 @@ def reference_key(op, cfg, tile, constants) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-@st.composite
-def operators(draw):
-    """Any operator of the operator range: each shape field, in a drawn
-    order, up to the largest value the fields drawn before it admit."""
-    shape = {**dict.fromkeys(SHAPE_FIELDS, 1),
-             "act_bits": draw(st.sampled_from([2, 4, 8])),
-             "wgt_bits": draw(st.sampled_from([2, 4, 8]))}
-    for field in draw(st.permutations(SHAPE_FIELDS)):
-        shape[field] = draw(st.integers(1, largest_in_range(shape, field, 2**63)))
-    return OperatorDescriptor(**shape)
-
-
 FULL_SPACE = ParamSpace()
 configs = st.tuples(*(st.integers(0, n - 1) for n in FULL_SPACE.field_sizes)).map(
     FULL_SPACE.config_at)
 tilings = st.builds(TilingPlan, *[st.sampled_from(TILE_SIZES)] * 4)
 
 
-def in_range(low):
-    """Floats of the closed range [low, 2**64], its edges drawn on purpose."""
-    return st.sampled_from([low, 2.0**64]) | st.floats(low, 2.0**64)
-
-
-constants = st.builds(
-    CostConstants, in_range(2.0**-64), in_range(2.0**-13), in_range(2.0**-64),
-    in_range(2.0**-64), in_range(2.0**-64),
-    st.builds(AreaConstants, in_range(0.0), in_range(0.0), in_range(0.0)))
-
-
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(operators(), configs, tilings, constants)
+@given(range_operators(), configs, tilings, range_constants)
 def test_key_matches_reference(op, cfg, tile, constants):
     assert CostCache.keyer(cfg, constants)(op, tile) == reference_key(op, cfg, tile, constants)
 

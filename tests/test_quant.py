@@ -128,6 +128,22 @@ def test_channel_importance_linearity():
     assert np.allclose(channel_importance(2 * a, g1), 2 * channel_importance(a, g1))
 
 
+@settings(PROPERTY)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+    st.lists(st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5), min_size=n, max_size=n))))
+def test_channel_importance_sums_in_operator_order(case):
+    """Each channel's importance is ``(a0*g0 + a1*g1) + a2*g2 + ...`` in Python
+    floats, bit for bit: the order a matrix product would leave to BLAS."""
+    alpha, gammas = case
+    expected = [0.0] * 5
+    for weight, scales in zip(alpha, gammas):
+        expected = [total + weight * g for total, g in zip(expected, scales)]
+    got = channel_importance(alpha, np.array(gammas).reshape(len(alpha), 5))
+    assert got.dtype == np.float64
+    assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in expected]
+
+
 def test_topk_channels():
     assert topk_channels(np.array([0.5, 2.0, 1.0, 0.1]), 25).tolist() == [1]
     assert topk_channels(np.array([0.5, 2.0, 1.0, 0.1]), 100).tolist() == [0, 1, 2, 3]

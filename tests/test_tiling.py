@@ -29,7 +29,7 @@ from acceldse import (
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
 from acceldse.costmodel import CostWeights, _grid_table, evaluate_tilings, fits_caches_mask
-from conftest import compute_cycles
+from conftest import compute_cycles, range_constants, range_operators
 
 CFG = AcceleratorConfig(16, 16, 128, 128, 128, Dataflow.WS, "BIHWO")
 
@@ -240,19 +240,6 @@ wide_operators = st.builds(
     act_bits=st.sampled_from([2, 4, 8]),
     wgt_bits=st.sampled_from([2, 4, 8]),
 )
-# Few enough feasible candidates to cost each one through the scalar views.
-tiny_operators = st.builds(
-    OperatorDescriptor,
-    kernel=st.sampled_from([1, 3, 5]),
-    stride=st.sampled_from([1, 2]),
-    out_rows=st.integers(1, 8),
-    in_channels=st.integers(1, 16),
-    out_channels=st.integers(1, 16),
-    act_bits=st.sampled_from([2, 4, 8]),
-    wgt_bits=st.sampled_from([2, 4, 8]),
-)
-
-
 @settings(PROPERTY, max_examples=60)
 @given(wide_operators, configs)
 def test_grid_evaluation_matches_flat(op, cfg):
@@ -272,27 +259,46 @@ def test_grid_evaluation_matches_flat(op, cfg):
         assert raveled.tobytes() == on_flat[name].tobytes(), name
 
 
-@settings(PROPERTY, max_examples=25)
-@given(tiny_operators, configs)
-def test_scalar_views_match_flat_rows(op, cfg):
-    """`estimate_cost`, `compute_cycles` and `dram_traffic` of every feasible
-    candidate equal its row of one flat pass, with the same field types."""
-    plans = enumerate_tilings(op, cfg)
-    rows = evaluate_tilings(op, cfg, *np.array([p.as_tuple() for p in plans]).T)
-    cost_area = area(cfg, CostConstants().area)
-    for i, plan in enumerate(plans):
-        cost = estimate_cost(op, cfg, plan)
-        expected = CostBreakdown(float(rows["energy_mj"][i]), float(rows["latency_ms"][i]),
-                                 int(rows["cycles"][i]), float(rows["dram_bytes"][i]), cost_area)
+@settings(PROPERTY, max_examples=40)
+@given(range_operators(), configs, range_constants, st.data())
+def test_scalar_views_match_flat_rows(op, cfg, constants, data):
+    """Across the operator and constants ranges, `evaluate_tilings` and
+    `fits_caches_mask` at one candidate, given plain ints or `np.int64`s,
+    equal its row of one flat pass in all 14 outputs, as the Python `int`,
+    `float` or `bool` of the row; and `estimate_cost`, `compute_cycles` and
+    `dram_traffic` of a feasible candidate, with the same field types."""
+    table = _grid_table(op)
+    flat = [cell.ravel() for cell in table.cells]
+    rows = evaluate_tilings(op, cfg, *flat, constants=constants)
+    rows["fits"] = fits_caches_mask(op, cfg, *flat)
+    feasible = np.flatnonzero(rows["fits"]).tolist()
+    anywhere = st.integers(0, flat[0].size - 1)
+    picks = data.draw(st.lists(st.sampled_from(feasible) | anywhere if feasible else anywhere,
+                               min_size=1, max_size=6))
+    for i in picks:
+        plan = table.plan(i)
+        expected = {name: values[i].item() for name, values in rows.items()}
+        for kind in (int, np.int64):
+            tile = [kind(t) for t in plan.as_tuple()]
+            one = evaluate_tilings(op, cfg, *tile, constants=constants)
+            one["fits"] = fits_caches_mask(op, cfg, *tile)
+            assert len(one) == 14 and one.keys() == expected.keys()
+            assert [(type(v), repr(v)) for v in one.values()] == [
+                (type(v), repr(v)) for v in expected.values()], kind
+        if not expected["fits"]:
+            continue
+        cost = estimate_cost(op, cfg, plan, constants)
         assert [(type(v), repr(v)) for v in astuple(cost)] == [
-            (type(v), repr(v)) for v in astuple(expected)]
+            (type(v), repr(v)) for v in (expected["energy_mj"], expected["latency_ms"],
+                                         expected["cycles"], expected["dram_bytes"],
+                                         area(cfg, constants.area))]
         assert type(compute_cycles(op, cfg, plan)) is int
-        assert compute_cycles(op, cfg, plan) == rows["compute_cycles"][i]
-        traffic = dram_traffic(op, cfg, plan)
+        assert compute_cycles(op, cfg, plan) == expected["compute_cycles"]
+        traffic = dram_traffic(op, cfg, plan)  # bytes and fetches no constant changes
         for f in fields(traffic):
             value = getattr(traffic, f.name)
-            row = rows["dram_bytes" if f.name == "total_bytes" else f.name][i]
-            assert type(value) is type(row.item()) and repr(value) == repr(row.item()), f.name
+            row = expected["dram_bytes" if f.name == "total_bytes" else f.name]
+            assert type(value) is type(row) and repr(value) == repr(row), f.name
 
 
 def product_walk(op, cfg):
