@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from acceldse import (
     AcceleratorConfig,
     AreaConstants,
-    CostBreakdown,
     CostConstants,
     Dataflow,
     NoFeasibleTiling,
