@@ -140,9 +140,13 @@ class AreaConstants:
                     "the area constants' range")
 
 
+# The one default instance, shared by every call given none: it is frozen.
+DEFAULT_AREA = AreaConstants()
+
+
 def area(cfg: AcceleratorConfig, constants: AreaConstants | None = None) -> float:
     """Die area estimate: PE term + cache term + fixed overhead."""
-    constants = constants or AreaConstants()
+    constants = constants or DEFAULT_AREA
     cache_kb = cfg.act_cache_kb + cfg.wgt_cache_kb + cfg.out_cache_kb
     return (
         cfg.pe_x * cfg.pe_y * constants.per_pe_mm2

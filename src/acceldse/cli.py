@@ -30,6 +30,7 @@ from .accel import AreaConstants, ParamSpace, area, check_range, load_accel, loa
 from .costmodel import (
     BREAKDOWN_FIELDS,
     COST_MODEL_VERSION,
+    DEFAULT_CONSTANTS,
     TILING_FIELDS,
     CostBreakdown,
     CostConstants,
@@ -41,6 +42,7 @@ from .costmodel import (
     subnet_total,
 )
 from .documents import (
+    Rows,
     construct,
     json_text,
     parse_json,
@@ -73,6 +75,9 @@ _RECORD_KEYS = ("key", "cost")
 _BREAKDOWN_READERS = tuple((name, read_int if name == "cycles" else read_number)
                            for name in BREAKDOWN_FIELDS)
 _record_line = record_writer(_RECORD_KEYS, BREAKDOWN_FIELDS)
+# An operator's object in `cost`'s report.
+_OPERATOR_LAYOUT = ("op_index", ("tiling", TILING_FIELDS), ("cost", BREAKDOWN_FIELDS), "hw_cost",
+                    "edap")
 _key_constants = attrgetter(*_CONSTANT_FIELDS, *(f"area.{name}" for name in _AREA_FIELDS))
 # The flags only some engines read: the budget's but `--seed`, which every report echoes.
 _ENGINE_FLAGS = (*(f.name for f in fields(SearchBudget) if f.name != "seed"), "gumbel_mode")
@@ -266,7 +271,7 @@ def _load_tilings(text: str, n_ops: int) -> list[TilingPlan]:
 
 
 def _constants(args) -> CostConstants:
-    return load_constants(_read_text(args.constants)) if args.constants else CostConstants()
+    return load_constants(_read_text(args.constants)) if args.constants else DEFAULT_CONSTANTS
 
 
 def _from_args(cls, args):
@@ -338,18 +343,13 @@ def cmd_cost(args) -> int:
 
 
 def _cost_report(plans, costs, total, weights) -> dict:
-    """`cost`'s report: each operator's tiling and cost, and the subnet's."""
+    """`cost`'s report: each operator's tiling and cost, and the subnet's.
+    The per-operator rows are streamed from `plans` and `costs` as the
+    report is written, so it is written once."""
+    rows = ((i, *p.as_tuple(), *c.as_tuple(), hw_cost(c, weights), edap(c))
+            for i, (p, c) in enumerate(zip(plans, costs)))
     return {
-        "per_operator": [
-            {
-                "op_index": i,
-                "tiling": p.to_dict(),
-                "cost": c.to_dict(),
-                "hw_cost": hw_cost(c, weights),
-                "edap": edap(c),
-            }
-            for i, (p, c) in enumerate(zip(plans, costs))
-        ],
+        "per_operator": Rows(_OPERATOR_LAYOUT, rows),
         "aggregate": {
             "cost": total.to_dict(),
             "hw_cost": hw_cost(total, weights),

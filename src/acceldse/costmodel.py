@@ -112,13 +112,13 @@ cost the current model would not compute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .accel import AcceleratorConfig, AreaConstants, Dataflow, area, check_range
+from .accel import DEFAULT_AREA, AcceleratorConfig, AreaConstants, Dataflow, area, check_range
 from .errors import NoFeasibleTiling
 from .workload import TILE_POW2_MAX, OperatorDescriptor
 
@@ -192,7 +192,7 @@ class CostConstants:
     e_mac_pj: float = 1.0  # per MAC at 8x8 bits, scaled by (wa*wb)/64
     e_sram_pj_per_byte: float = 1.0
     e_dram_pj_per_byte: float = 160.0
-    area: AreaConstants = field(default_factory=AreaConstants)
+    area: AreaConstants = DEFAULT_AREA
 
     def __post_init__(self):
         check_range(self, {"f_clk_mhz": 2.0**-64, "dram_bw_bytes_per_cycle": 2.0**-13,
@@ -221,6 +221,11 @@ class CostWeights:
                     "the weights' range")
 
 
+# The one default instance of each type, shared by every call given none: both are frozen.
+DEFAULT_CONSTANTS = CostConstants()
+DEFAULT_WEIGHTS = CostWeights()
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     energy_mj: float
@@ -229,8 +234,11 @@ class CostBreakdown:
     dram_bytes: float
     area_mm2: float
 
+    def as_tuple(self) -> tuple:
+        return (self.energy_mj, self.latency_ms, self.cycles, self.dram_bytes, self.area_mm2)
+
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in BREAKDOWN_FIELDS}
+        return dict(zip(BREAKDOWN_FIELDS, self.as_tuple()))
 
 
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(CostBreakdown))
@@ -585,7 +593,7 @@ def evaluate_tilings(
     inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
     or refuse them (the scalar views).
     """
-    constants = constants or CostConstants()
+    constants = constants or DEFAULT_CONSTANTS
     pe_x, pe_y, dataflow, loop_order = cfg.pe_x, cfg.pe_y, cfg.dataflow, cfg.loop_order
     table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
     if table is None:
@@ -648,7 +656,7 @@ def estimate_cost(
     constants: CostConstants | None = None,
 ) -> CostBreakdown:
     """Full cost breakdown for one (operator, accelerator, tiling) triple."""
-    constants = constants or CostConstants()
+    constants = constants or DEFAULT_CONSTANTS
     out = _evaluate_one(op, cfg, tile, constants)
     return CostBreakdown(
         energy_mj=out["energy_mj"],
@@ -661,7 +669,7 @@ def estimate_cost(
 
 def hw_cost(c: CostBreakdown, w: CostWeights | None = None) -> float:
     """Weighted scalar cost over energy, latency, and area (raw units)."""
-    w = w or CostWeights()
+    w = w or DEFAULT_WEIGHTS
     return w.lambda_e * c.energy_mj + w.lambda_l * c.latency_ms + w.lambda_a * c.area_mm2
 
 

@@ -10,9 +10,14 @@ Messages are built only when a check fails, so large documents read fast.
 
 `write_json` writes a report exactly as ``json.dumps(doc, indent=2)`` plus a
 newline, without the pure-Python encoder that ``indent`` selects, and hands
-it to its destination in bounded pieces; `json_text` joins those pieces.
-`record_writer` formats one-line records, such as the `--cache` memo's, as
-``json.dumps`` would, in one string each, by the same leaf rules.
+it to its destination in bounded pieces; `json_text` joins those pieces.  A
+`Rows` in a report is an array of objects that share one layout, such as
+`cost`'s per-operator rows: its layout is compiled once into a ``%``
+template (`_template`), and each row, a flat tuple of leaves, is written in
+one ``%`` operation, with no per-row dict.  `record_writer` formats
+one-line records, such as the `--cache` memo's, as ``json.dumps`` would, on
+the same compiler in its compact form.  Every leaf is written by the same
+rules (`_leaf`).
 """
 
 from __future__ import annotations
@@ -27,18 +32,41 @@ from .errors import InvalidDocument
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-# `write_json` hands its chunks on once this many have gathered: each piece
-# is some tens of KB, so a report's whole text is never held at once.
+# `write_json` hands its text on in pieces of some tens of KB, so a report's
+# whole text is never held at once: a piece is the join of `_BATCH` chunks
+# (a leaf each, with its separator and key) or, inside a `Rows`, of the
+# rows whose text reaches `_PIECE` characters, or of those left at its end.
 _BATCH = 2048
+_PIECE = 32 * 1024
+
+
+class Rows:
+    """A JSON array of objects that share one layout, written from flat rows.
+
+    `layout` names the fields of each object in order; a field given as
+    ``(name, sublayout)`` holds a nested object of `sublayout`, and the
+    names of one object are distinct strings.  `rows` is an iterable,
+    read once, of tuples that hold each object's leaves depth first: with
+    layout ``("i", ("t", ("a", "b")))`` the row ``(0, 1, 2)`` is the
+    object ``{"i": 0, "t": {"a": 1, "b": 2}}``.  A row whose length is not
+    its layout's leaf count, or that holds a container, raises `TypeError`
+    when written."""
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout, rows):
+        self.layout = layout
+        self.rows = rows
 
 
 def write_json(doc, write) -> None:
     """Pass `doc`'s text, ``json.dumps(doc, indent=2) + "\\n"``, to `write` in
-    pieces, each the join of about `_BATCH` chunks (the last of fewer):
-    two-space indent, ASCII escapes, floats by `float.__repr__` (NaN and
-    infinities as ``json`` writes them) and tuples as lists.  Object keys
-    must be strings; a key or value of any other type raises `TypeError`,
-    after the pieces before it have gone to `write`."""
+    bounded pieces (see `_BATCH`; the last may be shorter): two-space
+    indent, ASCII escapes, floats by `float.__repr__` (NaN and infinities
+    as ``json`` writes them), tuples as lists and each `Rows` as the array
+    of its objects.  Object keys must be strings; a key or value of any
+    other type raises `TypeError`, after the pieces before it have gone to
+    `write`."""
     text = _scalar(doc)
     if text is not None:
         write(_NON_FINITE.get(text, text) + "\n")
@@ -61,7 +89,7 @@ def _scalar(value) -> str | None:
     for a container; leaves are tested in `json.dumps`'s order (`bool` is an
     `int`).  `float.__repr__`, not `repr`: numpy 2 reprs its scalars as
     ``np.float64(...)``."""
-    if isinstance(value, (dict, list, tuple)):
+    if isinstance(value, (dict, list, tuple, Rows)):
         return None
     if isinstance(value, str):
         return _string(value)
@@ -91,15 +119,34 @@ def _leaf(value) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _template(layout, newline: str | None) -> str:
+    """The ``%`` template of one object of `layout` (see `Rows`), a ``%s``
+    for each leaf and every ``%`` of a name doubled.  `newline` is the
+    newline and indent before the object's closing brace, as
+    ``json.dumps(indent=2)`` writes it, or None for its compact form,
+    ``json.dumps``'s default separators."""
+    if not layout:
+        return "{}"
+    inner = None if newline is None else newline + "  "
+    items = []
+    for field in layout:
+        if type(field) is str:
+            name, value = field, "%s"
+        else:
+            name, value = field[0], _template(field[1], inner)
+        items.append(_string(name).replace("%", "%%") + ": " + value)
+    if newline is None:
+        return "{" + ", ".join(items) + "}"
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
 def record_writer(outer, names):
     """`line(key, obj)`, the one-line record that holds `key` and the fields
     `names` of `obj` under the two keys of `outer`: exactly
     ``json.dumps({outer[0]: key, outer[1]: {name: getattr(obj, name) for
     name in names}}) + "\\n"``, formatted in one string.  `names` holds
     at least two fields; `key` and every field must be leaves."""
-    head, inner, *rest = [_string(name).replace("%", "%%") for name in (*outer, *names)]
-    template = "{" + head + ": %s, " + inner + ": {" + ", ".join(
-        name + ": %s" for name in rest) + "}}\n"
+    template = _template((outer[0], (outer[1], names)), None) + "\n"
     values = attrgetter(*names)  # a tuple: two or more names
 
     def line(key, obj) -> str:
@@ -115,6 +162,9 @@ def _write(value, chunks: list, newline: str, write) -> None:
     it; after each item, a full batch of `chunks` goes to `write` joined,
     and `chunks` starts over.  Only a float's text can be a key of
     `_NON_FINITE`: every other leaf's is quoted, a number or a literal."""
+    if type(value) is Rows:
+        _write_rows(value, chunks, newline, write)
+        return
     keyed = isinstance(value, dict)
     if not value:
         chunks.append("{}" if keyed else "[]")
@@ -135,6 +185,32 @@ def _write(value, chunks: list, newline: str, write) -> None:
             chunks.clear()
         head = "," + inner
     chunks.append(newline + ("}" if keyed else "]"))
+
+
+def _write_rows(value: Rows, chunks: list, newline: str, write) -> None:
+    """Append the text of `value`, as `_write` appends a list's: each row
+    in one chunk, with the separator before it, by one ``%`` operation on
+    its layout's template.  Once the rows' chunks reach `_PIECE`
+    characters, and after the last row, `chunks` goes to `write` joined and
+    starts over."""
+    inner = newline + "  "
+    body = _template(value.layout, inner)
+    following = "," + inner + body
+    template = "[" + inner + body
+    size = 0
+    for row in value.rows:
+        text = template % tuple(map(_leaf, row))
+        chunks.append(text)
+        size += len(text)
+        if size >= _PIECE:
+            write("".join(chunks))
+            chunks.clear()
+            size = 0
+        template = following
+    if size:
+        write("".join(chunks))
+        chunks.clear()
+    chunks.append(newline + "]" if template is following else "[]")
 
 
 def _at(where: str, key) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .accel import AcceleratorConfig, ParamSpace, space_cardinality
-from .costmodel import CostConstants, CostWeights, hw_cost
+from .costmodel import DEFAULT_CONSTANTS, DEFAULT_WEIGHTS, CostConstants, CostWeights, hw_cost
 from .errors import NoFeasibleTiling, SpaceTooLarge
 from .quant import gumbel_softmax
 from .tiling import map_subnet
@@ -290,8 +290,8 @@ def make_subnet_scorer(
     candidates, each tuple names exactly one config and each config one tuple,
     so this memo holds what a memo keyed on configs would.
     """
-    constants = constants or CostConstants()
-    weights = weights or CostWeights()
+    constants = constants or DEFAULT_CONSTANTS
+    weights = weights or DEFAULT_WEIGHTS
     memo: dict[tuple, float | None] = {}
     state = {"worst": None}
 

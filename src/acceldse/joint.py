@@ -10,12 +10,12 @@ adds `lambda * e_hw` to its task loss inside its own autograd graph.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .accel import AcceleratorConfig, ParamSpace, check_range
-from .costmodel import CostConstants, CostWeights, hw_cost
+from .costmodel import DEFAULT_CONSTANTS, DEFAULT_WEIGHTS, CostConstants, CostWeights, hw_cost
 from .documents import construct, parse_json, read_int, read_list, read_number, read_object
 from .hwsearch import SearchBudget, search_accel
 from .tiling import SubnetMapping, map_subnet
@@ -28,7 +28,7 @@ class JointWeights:
     the weights' range of `CostWeights`, so `lam * e_hw` stays finite."""
 
     lam: float = 0.001
-    cost_weights: CostWeights = field(default_factory=CostWeights)
+    cost_weights: CostWeights = DEFAULT_WEIGHTS
 
     def __post_init__(self):
         check_range(self, {"lam": 0.0}, "the weights' range")
@@ -141,7 +141,7 @@ def co_search_step(
     per-operator tilings and costs.
     """
     t0 = time.perf_counter()
-    constants = constants or CostConstants()
+    constants = constants or DEFAULT_CONSTANTS
     weights = weights or JointWeights()
     budget = budget or SearchBudget()
     subnet = select_subnet(state)

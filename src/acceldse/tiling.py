@@ -26,6 +26,8 @@ import numpy as np
 
 from .accel import AcceleratorConfig, area
 from .costmodel import (
+    DEFAULT_CONSTANTS,
+    DEFAULT_WEIGHTS,
     CostBreakdown,
     CostConstants,
     CostWeights,
@@ -67,7 +69,7 @@ def _objective(energy_mj, latency_ms, weights: CostWeights | None):
     """The cost a tiling search minimizes, `λe·energy + λl·latency`, on
     scalars or arrays.  Area does not depend on the tiling, so it is left
     out and cannot perturb ties between candidates."""
-    w = weights or CostWeights()
+    w = weights or DEFAULT_WEIGHTS
     return w.lambda_e * energy_mj + w.lambda_l * latency_ms
 
 
@@ -88,7 +90,7 @@ def batch_search(
     Ties break toward the earliest candidate in enumeration order.
     """
     t0 = time.perf_counter()
-    constants = constants or CostConstants()
+    constants = constants or DEFAULT_CONSTANTS
     table = _grid_table(op)
     mask = fits_caches_mask(op, cfg, *table.grid)
     n_feasible = int(np.count_nonzero(mask))
@@ -116,7 +118,7 @@ def oracle_search(
     """Reference implementation: same contract as `batch_search`, strictly
     sequential, no batching, no pruning."""
     t0 = time.perf_counter()
-    constants = constants or CostConstants()
+    constants = constants or DEFAULT_CONSTANTS
     n_candidates = math.prod(g.size for g in _grid_table(op).grid)  # the open grid's size
     plans = enumerate_tilings(op, cfg)
     if not plans:
@@ -147,7 +149,7 @@ def map_subnet(
     """Best tiling per operator plus the subnet-level aggregate
     (`subnet_total`: energies and latencies add, area counts once)."""
     t0 = time.perf_counter()
-    constants = constants or CostConstants()
+    constants = constants or DEFAULT_CONSTANTS
     results = []
     for index, op in enumerate(subnet):
         try:

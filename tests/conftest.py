@@ -16,6 +16,7 @@ from acceldse import (
     TilingPlan,
 )
 from acceldse.costmodel import evaluate_tilings
+from acceldse.documents import Rows
 
 # Derandomized, so every run draws the same examples.
 PROPERTY = settings(deadline=None, database=None, derandomize=True)
@@ -41,6 +42,29 @@ def allocation_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def plain(doc):
+    """`doc` with each `Rows` in it, its rows read, expanded to the list of
+    its objects: the document `json.dumps` can encode."""
+    if type(doc) is Rows:
+        return [_row_object(doc.layout, iter(row)) for row in doc.rows]
+    if isinstance(doc, dict):
+        return {key: plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(value) for value in doc]
+    return doc
+
+
+def _row_object(layout, leaves) -> dict:
+    """The object of `layout` that takes its leaves, depth first, from the iterator `leaves`."""
+    obj = {}
+    for field in layout:
+        if type(field) is str:
+            obj[field] = next(leaves)
+        else:
+            obj[field[0]] = _row_object(field[1], leaves)
+    return obj
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,8 +15,15 @@ from hypothesis import strategies as st
 from acceldse import CostBreakdown, Dataflow, cli, costmodel, exhaustive_search, hwsearch, joint
 from acceldse.cli import CostCache, main
 from acceldse.costmodel import TILE_SIZES, CostWeights, TilingPlan, subnet_total
+from acceldse.documents import write_json
 from acceldse.hwsearch import ENGINE_TABLE, ENGINES, SearchBudget
-from conftest import make_reduced_space_24, make_small_subnet, make_synthetic_subnet_22
+from conftest import (
+    allocation_peak,
+    make_reduced_space_24,
+    make_small_subnet,
+    make_synthetic_subnet_22,
+    plain,
+)
 
 REF_WORKLOAD = {"operators": [{
     "kernel": 5, "stride": 1, "out_rows": 7, "in_channels": 552,
@@ -561,24 +567,27 @@ def test_cache_append_failing_exit_2(docs, tmp_path, capsys, monkeypatch, failur
 
 
 def test_cost_report_streams_in_bounded_memory(tmp_path):
-    """`cost`'s report over 3,000 operators goes to its file in pieces: the
-    write's tracemalloc peak stays below the report's own length, where
-    holding its text whole took several times that."""
+    """`cost`'s report over 3,000 operators is built as it is written and
+    goes to its file in pieces under 128 KiB: the tracemalloc peak of the
+    build and the write stays below half the report's own length, where
+    building its per-operator dicts took more than the text itself."""
     rng = random.Random(0)
     plans = [TilingPlan(*rng.choices(TILE_SIZES, k=4)) for _ in range(3000)]
     costs = [CostBreakdown(rng.random(), rng.random() * 10, rng.randrange(1, 2**32),
                            rng.random() * 1e7, 3.5) for _ in plans]
-    report = cli._cost_report(plans, costs, subnet_total(costs, 3.5), CostWeights())
+    total = subnet_total(costs, 3.5)
     out = tmp_path / "report.json"
-    tracemalloc.start()
-    try:
-        cli._write_report(report, str(out))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = allocation_peak(
+        lambda: cli._write_report(cli._cost_report(plans, costs, total, CostWeights()), str(out)))
     text = out.read_text()
-    assert text == json.dumps(report, indent=2) + "\n"
+    assert text == json.dumps(plain(cli._cost_report(plans, costs, total, CostWeights())),
+                              indent=2) + "\n"
     assert peak < len(text), (peak, len(text))
+    assert peak < len(text) / 2, (peak, len(text))
+    pieces = []
+    write_json(cli._cost_report(plans, costs, total, CostWeights()), pieces.append)
+    assert "".join(pieces) == text
+    assert max(map(len, pieces)) < 128 * 1024, max(map(len, pieces))
 
 
 @pytest.mark.filterwarnings("error")

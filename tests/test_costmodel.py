@@ -7,20 +7,33 @@ import pytest
 
 from acceldse import (
     AcceleratorConfig,
+    AreaConstants,
     CostBreakdown,
     CostConstants,
     CostWeights,
     Dataflow,
+    JointWeights,
     NoFeasibleTiling,
     OperatorDescriptor,
+    ParamSpace,
+    SearchBudget,
+    SubnetDescriptor,
+    SupernetLayer,
+    SupernetState,
     TilingPlan,
+    area,
+    batch_search,
+    co_search_step,
     dram_traffic,
     edap,
     encode_operator,
     estimate_cost,
     hw_cost,
+    map_subnet,
+    oracle_search,
 )
 from acceldse.costmodel import TILE_SIZES, _grid_table, evaluate_tilings, fits_caches_mask
+from acceldse.hwsearch import make_subnet_scorer
 from conftest import compute_cycles
 
 CFG64 = AcceleratorConfig(16, 16, 64, 64, 64, Dataflow.WS, "BIOHW")
@@ -270,3 +283,47 @@ def test_range_corner_is_exact(op):
                 assert int(out["cycles"]) == cycles
                 assert Fraction(float(out["dram_bytes"])) * 8 == dram_bits
             evaluate_tilings(op, cfg, *_grid_table(op).grid)
+
+
+def test_default_calls_share_one_instance_of_each_default(monkeypatch, ref_op, ref_cfg):
+    """A call given no constants, weights or area constants uses the one
+    default instance of each, built at import: many such calls run no
+    `__post_init__`, and give what explicit default instances give."""
+    op = OperatorDescriptor(3, 1, 8, 16, 32, 8, 8)
+    space = ParamSpace(pe_x=(16,), pe_y=(16,), act_cache_kb=(64,), wgt_cache_kb=(64,),
+                       out_cache_kb=(64,), dataflows=(Dataflow.WS, Dataflow.OS),
+                       loop_orders=("BIOHW",))
+    state = SupernetState(layers=(SupernetLayer(alpha=(1.0,), candidates=(op,),
+                                                beta_w=((0.0, 0.0, 1.0),),
+                                                beta_a=((0.0, 0.0, 1.0),)),))
+    budget = SearchBudget(seed=0)
+    tile = TilingPlan(16, 16, 1, 1)
+
+    def calls(constants=None, weights=None, area_constants=None, joint_weights=None):
+        cost = estimate_cost(ref_op, ref_cfg, tile, constants)
+        report = co_search_step(state, space, constants, joint_weights, budget, "exhaustive")
+        return (
+            cost,
+            hw_cost(cost, weights),
+            evaluate_tilings(ref_op, ref_cfg, *tile.as_tuple(), constants=constants),
+            dram_traffic(ref_op, ref_cfg, tile),
+            area(ref_cfg, area_constants),
+            batch_search(ref_op, ref_cfg, constants, weights).best,
+            oracle_search(op, CFG64, constants, weights).best,
+            map_subnet(SubnetDescriptor((op, ref_op)), ref_cfg, constants, weights).total,
+            make_subnet_scorer(SubnetDescriptor((op,)), space, constants, weights)((0,) * 7),
+            (report.config, report.e_hw, report.mapping.total),
+        )
+
+    explicit = calls(CostConstants(), CostWeights(), AreaConstants(), JointWeights())
+    runs = []
+    for cls in (CostConstants, CostWeights, AreaConstants):
+        def counted(self, original=cls.__post_init__):
+            runs.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    defaults = [calls() for _ in range(20)]
+    JointWeights()
+    assert runs == []
+    assert all(result == explicit for result in defaults)
