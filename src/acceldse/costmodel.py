@@ -49,7 +49,8 @@ latency_ms * f_clk_mhz * 1000 == cycles exactly.
 Every function here takes its tile sizes in one of three shapes, always in
 `TilingPlan` field order (t_oc, t_ic, t_ow, t_oh): Python `int`s (one tiling,
 the K=1 views `estimate_cost` and `dram_traffic`; numpy integer scalars are
-taken as `int`s), flat arrays (one tiling per element), or an open grid
+taken as `int`s), flat arrays (one tiling per element, of one operator or
+of operator columns, below), or an open grid
 (`np.meshgrid(..., sparse=True)`: one axis per tile dimension).  At one
 tiling every term is a Python `int`, `float` or `bool`, never a numpy
 scalar, so each output is one too: the scalar helpers (`_select`,
@@ -68,6 +69,15 @@ t_ow), so ties break toward the earliest candidate in that order, and
 tiling searches pass the table's grid and read their plans through that map.
 Feasibility is a separate mask (`fits_caches_mask`) over the same inputs;
 `evaluate_tilings` scores infeasible tilings too.
+
+The operator `op` is an `OperatorDescriptor` or, with flat tile arrays,
+operator columns: any record with one int64 array per name in
+`workload.OPERATOR_FIELDS`, each as long as the tile arrays, so that row i
+costs the operator of row i at the tiling of row i.  One flat call then
+scores the rows of many operators, as it scores one operator's.  This
+holds because the stage functions read operator fields only through numpy
+elementwise operations and the scalar helpers; a Python `if`, `min`,
+`max`, `int()` or `float()` on an operator field breaks it.
 
 Stages
     Every term a config changes comes from a stage function that takes
@@ -94,15 +104,17 @@ Stages
     table's arrays.  A request with that key is served from the slot; any
     other key replaces it.  An operator's first request of a stage stores
     only the key, so an operator costed once (`cost` over many distinct
-    operators) holds no stage arrays.  Off the grid, for scalars and flat
-    arrays, there is no table: `_memoized` simply computes the stage.
+    operators) holds no stage arrays.  Off the grid, for one tiling and for
+    flat rows, of one operator or of operator columns, no table is built or
+    read (`_grid_table_of`): `_memoized` simply computes the stage.
 
 Each element sees the same float operations in every shape, integers are
 exact in int64 and byte counts are exact multiples of 1/8 in float64 (for
 operators inside the range `workload.OperatorDescriptor` accepts), so the
-three shapes give bit-identical results, memoized or not.  One tiling's
-integers are Python `int`s, equal to the int64 values because nothing in
-that range overflows int64, and its floats are the same IEEE doubles.
+three shapes, and operator columns, give bit-identical results, memoized
+or not.  One tiling's integers are Python `int`s, equal to the int64 values
+because nothing in that range overflows int64, and its floats are the same
+IEEE doubles.
 
 `COST_MODEL_VERSION` names this model.  Any change to the model's outputs
 bumps it, so that the `--cache` memo, whose key includes it, never serves a
@@ -438,8 +450,10 @@ def _grid_table(op: OperatorDescriptor) -> _GridTable:
 
 def _grid_table_of(op: OperatorDescriptor, t_oc, t_ic, t_ow, t_oh) -> _GridTable | None:
     """The operator's table if the tile sizes are its candidate grid itself
-    (the arrays `_grid_table` holds), else None."""
-    if type(t_oc) is not np.ndarray:
+    (the arrays `_grid_table` holds), else None.  Only 4-D arrays, an open
+    grid's shape, are looked up: one tiling and flat rows, of one operator
+    or of operator columns, never build or read a table."""
+    if type(t_oc) is not np.ndarray or t_oc.ndim != 4:
         return None
     table = _grid_table(op)
     g_oc, g_ic, g_ow, g_oh = table.grid
@@ -458,7 +472,9 @@ def _fit_mask(clipped, act_cache_kb, wgt_cache_kb, out_cache_kb):
 
 def _spatial_dims(op: OperatorDescriptor, dataflow: Dataflow, t_oc, t_ic, t_ow, t_oh):
     """The two tile dimensions mapped onto the PE array, and the MACs one
-    array cell performs per tile (tile_macs / (d1 * d2), an exact quotient)."""
+    array cell performs per tile (tile_macs / (d1 * d2), an exact quotient).
+    It branches on the config's dataflow only, never on an operator field,
+    so `op` may be operator columns."""
     k2 = op.kernel**2
     if dataflow is Dataflow.WS:
         return t_ic, t_oc, t_ow * t_oh * k2
@@ -469,7 +485,8 @@ def _spatial_dims(op: OperatorDescriptor, dataflow: Dataflow, t_oc, t_ic, t_ow, 
 
 def _compute_cycles(op, pe_x, pe_y, dataflow, t_oc, t_ic, t_ow, t_oh, counts):
     """Compute-cycles stage: spatial passes times cell MACs over the
-    bit-serial speedup, per tile, times the tile count."""
+    bit-serial speedup, per tile, times the tile count; `op` may be
+    operator columns."""
     d1, d2, cell_macs = _spatial_dims(op, dataflow, t_oc, t_ic, t_ow, t_oh)
     bitspeed = (8 // op.act_bits) * (8 // op.wgt_bits)
     passes = _ceil_div(d1, pe_x) * _ceil_div(d2, pe_y)
@@ -513,7 +530,8 @@ def _refetch_factors(dataflow: Dataflow, loop_order: str, counts: dict, multi: d
 def _energy_base(op: OperatorDescriptor, constants: CostConstants, terms: _Terms):
     """The energy in pJ that no config field changes: the MAC term plus the
     SRAM term.  The traffic stage adds the DRAM term to it, in the order
-    `(mac + sram) + dram` that the sum of all three takes."""
+    `(mac + sram) + dram` that the sum of all three takes; `op` may be
+    operator columns."""
     padded_macs = _float(terms.padded_io * terms.padded_hw)
     mac_pj = padded_macs * constants.e_mac_pj * (op.act_bits * op.wgt_bits) / 64.0
     sram_bytes = padded_macs * (op.act_bits + op.wgt_bits) / 8.0 + terms.psum_bytes
@@ -587,7 +605,11 @@ def evaluate_tilings(
     shape of the inputs it depends on.  On the operator's own candidate
     grid the config-independent terms are read from its cached table and
     each stage's outputs from its memo slot when the stage's key repeats;
-    outputs read from either are read-only arrays.
+    outputs read from either are read-only arrays.  With flat tile arrays
+    `op` may also be operator columns, one int64 array per name in
+    `OPERATOR_FIELDS` as long as the tiles: one call then scores the rows
+    of many operators, bit-identical to each operator's own call, and no
+    table is built.
 
     Feasibility is not checked here: `fits_caches_mask` gives it for the same
     inputs, and callers mask infeasible tilings out (`tiling.batch_search`)
@@ -610,9 +632,9 @@ def evaluate_tilings(
 
 
 def fits_caches_mask(op: OperatorDescriptor, cfg: AcceleratorConfig, t_oc, t_ic, t_ow, t_oh):
-    """Cache-fit test per tiling, over the same input shapes as
-    `evaluate_tilings`: the clipped tile of each operand against its cache;
-    a Python `bool` at one tiling."""
+    """Cache-fit test per tiling, over the same input shapes and operators
+    as `evaluate_tilings`, operator columns included: the clipped tile of
+    each operand against its cache; a Python `bool` at one tiling."""
     key = (cfg.act_cache_kb, cfg.wgt_cache_kb, cfg.out_cache_kb)
     table = _grid_table_of(op, t_oc, t_ic, t_ow, t_oh)
     if table is None:

@@ -57,7 +57,8 @@ class SupernetLayer:
 
 @dataclass(frozen=True)
 class SupernetState:
-    """Supernet layers plus the bitwidth candidates every beta row weights."""
+    """Supernet layers plus the bitwidth candidates every beta row weights:
+    one or more, each an `int` in `ALLOWED_BITS`."""
 
     layers: tuple[SupernetLayer, ...]
     bit_choices: tuple[int, ...] = ALLOWED_BITS
@@ -65,6 +66,10 @@ class SupernetState:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("supernet has no layers")
+        if not self.bit_choices or any(type(b) is not int or b not in ALLOWED_BITS
+                                       for b in self.bit_choices):
+            raise ValueError(f"bit_choices must be one or more of {ALLOWED_BITS}, "
+                             f"got {list(self.bit_choices)}")
         rows = (row for layer in self.layers for row in layer.beta_w + layer.beta_a)
         if any(len(row) != len(self.bit_choices) for row in rows):
             raise ValueError(f"each beta row must hold one weight per bit choice "

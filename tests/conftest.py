@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from acceldse import (
     SubnetDescriptor,
     TilingPlan,
 )
-from acceldse.costmodel import evaluate_tilings
+from acceldse.costmodel import _grid_table, evaluate_tilings
 from acceldse.documents import Rows
+from acceldse.workload import OPERATOR_FIELDS, encode_operator
 
 # Derandomized, so every run draws the same examples.
 PROPERTY = settings(deadline=None, database=None, derandomize=True)
@@ -120,6 +122,31 @@ def range_operators(draw):
     for field in draw(st.permutations(SHAPE_FIELDS)):
         shape[field] = draw(st.integers(1, largest_in_range(shape, field, 2**63)))
     return OperatorDescriptor(**shape)
+
+
+# Operator columns (see the `costmodel` docstring): one int64 array per operator field.
+OperatorColumns = namedtuple("OperatorColumns", OPERATOR_FIELDS)
+
+
+def operator_rows(ops):
+    """One row per candidate tiling of each operator of `ops`, operator by
+    operator, each operator's rows in its table's `cells` order: the
+    operator columns, the four flat tile arrays and each operator's first
+    row."""
+    cells = [_grid_table(op).cells for op in ops]
+    sizes = [field.size for field, *_ in cells]
+    columns = OperatorColumns(*(np.repeat(np.array(values, dtype=np.int64), sizes)
+                                for values in zip(*map(encode_operator, ops))))
+    tiles = [np.concatenate([c[k].ravel() for c in cells]) for k in range(4)]
+    return columns, tiles, np.cumsum([0, *sizes[:-1]])
+
+
+def segment_argmin(values, starts):
+    """Per segment of `values` (each runs from its start to the next), the
+    offset from its start of its first minimum: a stable sort by segment,
+    then by value, keeps equal values in row order."""
+    segments = np.repeat(np.arange(len(starts)), np.diff(starts, append=values.size))
+    return np.lexsort((values, segments))[starts] - starts
 
 
 def _in_range(low):

@@ -843,34 +843,40 @@ def replaced(doc, path, value):
     return doc
 
 
-@pytest.mark.parametrize("kind, path, value", [
-    ("supernet", ("bit_choices",), 5),
-    ("supernet", ("layers",), 5),
-    ("supernet", ("layers", 0, "beta_w", 1), [0, 0, 0, 1]),
-    ("supernet", ("bit_choices",), [2.0, 4, 8]),
-    ("tiling", ("tilings",), 5),
-    ("tiling", ("tilings", 0, "t_oc"), None),
-    ("tiling", ("tilings", 0, "t_oc"), 4.7),
-    ("space", ("pe_x",), ["a"]),
-    ("space", ("pe_x",), [8.5]),
-    ("space", ("pe_x",), [8, 8]),
-    ("space", ("dataflow",), ["WS", "WS"]),
-    ("space", ("pe_x",), [2]),
-    ("space", ("loop_order",), ["BBOHW"]),
-    ("accel", ("pe_x",), 16.7),
-    ("accel", ("loop_order",), ["B", "I", "O", "H", "W"]),
-    ("constants", ("f_clk_mhz",), float("nan")),
+# Each case's error names where the bad value sits: its document or
+# record, and the field.
+@pytest.mark.parametrize("kind, path, value, where", [
+    ("supernet", ("bit_choices",), 5, "supernet document: bit_choices"),
+    ("supernet", ("layers",), 5, "supernet document: layers"),
+    ("supernet", ("layers", 0, "beta_w", 1), [0, 0, 0, 1], "supernet document: each beta row"),
+    ("supernet", ("bit_choices",), [2.0, 4, 8], "supernet document: bit_choices[0]"),
+    ("supernet", ("bit_choices",), [2, 4, 3], "supernet document: bit_choices"),
+    ("supernet", ("bit_choices",), [], "supernet document: bit_choices"),
+    ("tiling", ("tilings",), 5, "tiling document: tilings"),
+    ("tiling", ("tilings", 0, "t_oc"), None, "tiling 0: t_oc"),
+    ("tiling", ("tilings", 0, "t_oc"), 4.7, "tiling 0: t_oc"),
+    ("space", ("pe_x",), ["a"], "space document: pe_x"),
+    ("space", ("pe_x",), [8.5], "space document: pe_x"),
+    ("space", ("pe_x",), [8, 8], "space document: pe_x"),
+    ("space", ("dataflow",), ["WS", "WS"], "space document: dataflows"),
+    ("space", ("pe_x",), [2], "space document: pe_x"),
+    ("space", ("loop_order",), ["BBOHW"], "space document: loop_orders"),
+    ("accel", ("pe_x",), 16.7, "accelerator document: invalid accelerator config: pe_x"),
+    ("accel", ("loop_order",), ["B", "I", "O", "H", "W"],
+     "accelerator document: invalid accelerator config: loop_order"),
+    ("constants", ("f_clk_mhz",), float("nan"), "constants document: f_clk_mhz"),
     # a shape too large for the cost model's int64 arrays
-    ("workload", ("operators", 0, "kernel"), 2**40),
+    ("workload", ("operators", 0, "kernel"), 2**40, "operator 0: operator shape"),
 ], ids=["bit-choices-int", "layers-int", "beta-row-length", "bit-choice-float",
+        "bit-choice-off-domain", "bit-choices-empty",
         "tilings-int", "t-oc-null", "t-oc-float", "pe-x-string", "pe-x-float-candidate",
         "pe-x-repeated", "dataflow-repeated", "pe-x-off-domain", "loop-order-off-domain",
         "pe-x-float", "loop-order-list", "clock-nan", "kernel-too-large"])
-def test_malformed_document_exit_2(tmp_path, capsys, kind, path, value):
+def test_malformed_document_exit_2(tmp_path, capsys, kind, path, value, where):
     text = json.dumps(replaced(VALID_DOCS[kind], path, value))
     assert run_with_document(tmp_path, kind, text) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1 and err[0].startswith(f"error: {where}"), err
 
 
 def document_paths(doc, prefix=()):

@@ -27,7 +27,7 @@ from acceldse import costmodel
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
 from acceldse.costmodel import (TILE_SIZES, CostConstants, _grid_table, evaluate_tilings,
                                 fits_caches_mask)
-from conftest import PROPERTY, REF_CFG, REF_OP
+from conftest import PROPERTY, REF_CFG, REF_OP, operator_rows
 from nestwalk import walk_traffic
 
 configs = st.builds(
@@ -330,6 +330,18 @@ def test_an_operator_costed_once_holds_no_stage_arrays():
     assert set(memo) == STAGES
     assert all(outputs is None for _, outputs in memo.values())
     assert not list(table_arrays(memo))
+
+
+def test_flat_calls_build_no_grid_table():
+    """Flat rows, of a descriptor or of operator columns, neither build nor
+    read an operator's table: `_grid_table` is not even asked."""
+    columns, tiles, _ = operator_rows([REF_OP, REF_OP])
+    flat = [np.array([1, 2, 4, 64], dtype=np.int64)] * 4
+    before = _grid_table.cache_info()
+    for operator, tile in ((OperatorDescriptor(3, 1, 9, 21, 37, 4, 8), flat), (columns, tiles)):
+        evaluate_tilings(operator, REF_CFG, *tile)
+        fits_caches_mask(operator, REF_CFG, *tile)
+    assert _grid_table.cache_info() == before
 
 
 def test_each_stage_keeps_one_slot():

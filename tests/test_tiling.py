@@ -27,8 +27,11 @@ from acceldse import (
     tile_size_choices,
 )
 from acceldse.accel import CACHE_CHOICES_KB, PE_CHOICES
-from acceldse.costmodel import CostWeights, _grid_table, evaluate_tilings, fits_caches_mask
-from conftest import compute_cycles, range_constants, range_operators
+from acceldse.costmodel import (BREAKDOWN_FIELDS, CostBreakdown, CostWeights, _grid_table,
+                                evaluate_tilings, fits_caches_mask, subnet_total)
+from acceldse.tiling import _objective
+from conftest import (REF_OP, compute_cycles, make_small_subnet, make_synthetic_subnet_22,
+                      operator_rows, range_constants, range_operators, segment_argmin)
 
 CFG = AcceleratorConfig(16, 16, 128, 128, 128, Dataflow.WS, "BIHWO")
 
@@ -228,34 +231,68 @@ def test_area_cannot_change_a_tiling(op, cfg, lambda_e, lambda_l, variant):
     assert varied.cost == replace(base.cost, area_mm2=varied.cost.area_mm2)
 
 
-# Wider than `operators`: grid and flat evaluation are cheap at any size.
-wide_operators = st.builds(
-    OperatorDescriptor,
-    kernel=st.integers(1, 11),
-    stride=st.integers(1, 4),
-    out_rows=st.integers(1, 300),
-    in_channels=st.integers(1, 2000),
-    out_channels=st.integers(1, 2000),
-    act_bits=st.sampled_from([2, 4, 8]),
-    wgt_bits=st.sampled_from([2, 4, 8]),
-)
-@settings(PROPERTY, max_examples=60)
-@given(wide_operators, configs)
-def test_grid_evaluation_matches_flat(op, cfg):
-    """Every output on the open grid, broadcast and raveled, equals the
-    output on the flat candidate arrays bit for bit."""
-    grid = _grid_table(op).grid
-    flat = [g.ravel() for g in np.broadcast_arrays(*grid)]
-    shape = np.broadcast_shapes(*(g.shape for g in grid))
-    on_grid = evaluate_tilings(op, cfg, *grid)
-    on_grid["fits"] = fits_caches_mask(op, cfg, *grid)
-    on_flat = evaluate_tilings(op, cfg, *flat)
-    on_flat["fits"] = fits_caches_mask(op, cfg, *flat)
-    assert len(on_flat) == 14 and on_grid.keys() == on_flat.keys()
-    for name, values in on_grid.items():
-        raveled = np.broadcast_to(values, shape).ravel()
-        assert raveled.dtype == on_flat[name].dtype, name
-        assert raveled.tobytes() == on_flat[name].tobytes(), name
+@st.composite
+def operator_sets(draw):
+    """1-30 operators of the operator range, repeats included."""
+    pool = draw(st.lists(range_operators(), min_size=1, max_size=30))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+
+
+# A 724-wide kernel has no feasible tiling at caches of 496 KB or less.
+NO_FIT = OperatorDescriptor(724, 1, 1, 1, 1, 8, 8)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(operator_sets(), configs, st.just(CostConstants()) | range_constants,
+       st.just(CostWeights()) | st.builds(CostWeights, in_range, in_range, in_range))
+@example([OperatorDescriptor(3, 1, 8, 16, 32, 8, 8), NO_FIT, NO_FIT],
+         AcceleratorConfig(16, 16, 496, 496, 496, Dataflow.WS, "BIHWO"),
+         CostConstants(), CostWeights())
+@example([*make_synthetic_subnet_22(), *make_small_subnet(), *make_small_subnet(), REF_OP, REF_OP],
+         CFG, CostConstants(e_dram_pj_per_byte=97.0), CostWeights(0.0, 1.0, 0.0))
+def test_grid_evaluation_matches_flat(ops, cfg, constants, weights):
+    """One flat pass over the operator columns of a set of operators equals
+    each operator's own grid outputs and fit mask, broadcast and raveled,
+    bit for bit and dtypes included.  A first-minimum segment argmin of the
+    masked objective picks `map_subnet`'s winners, whose rows are its
+    breakdowns, or finds the first operator it refuses."""
+    columns, tiles, starts = operator_rows(ops)
+    rows = evaluate_tilings(columns, cfg, *tiles, constants=constants)
+    rows["fits"] = fits_caches_mask(columns, cfg, *tiles)
+    assert len(rows) == 14
+    for op, segment in zip(ops, np.split(np.arange(tiles[0].size), starts[1:])):
+        grid = _grid_table(op).grid
+        shape = np.broadcast_shapes(*(g.shape for g in grid))
+        on_grid = evaluate_tilings(op, cfg, *grid, constants=constants)
+        on_grid["fits"] = fits_caches_mask(op, cfg, *grid)
+        assert on_grid.keys() == rows.keys()
+        for name, values in on_grid.items():
+            raveled = np.broadcast_to(values, shape).ravel()
+            assert raveled.dtype == rows[name].dtype, name
+            assert raveled.tobytes() == rows[name][segment].tobytes(), name
+
+    costs = np.where(rows["fits"], _objective(rows["energy_mj"], rows["latency_ms"], weights),
+                     np.inf)
+    best = segment_argmin(costs, starts)
+    winners = starts + best
+    subnet = SubnetDescriptor(tuple(ops))
+    no_fit = np.flatnonzero(~np.isfinite(costs[winners]))
+    if no_fit.size:
+        with pytest.raises(NoFeasibleTiling) as excinfo:
+            map_subnet(subnet, cfg, constants, weights)
+        assert excinfo.value.op_index == no_fit[0]
+        return
+    mapping = map_subnet(subnet, cfg, constants, weights)
+    area_mm2 = area(cfg, constants.area)
+    n_feasible = np.add.reduceat(rows["fits"], starts, dtype=np.int64)
+    breakdowns = []
+    for op, result, offset, row, fits in zip(ops, mapping.per_op, best, winners, n_feasible):
+        assert (result.best, result.n_feasible) == (_grid_table(op).plan(offset), fits)
+        cost = CostBreakdown(*(rows[name][row].item() for name in BREAKDOWN_FIELDS[:-1]),
+                             area_mm2)
+        assert repr(cost) == repr(result.cost)
+        breakdowns.append(cost)
+    assert subnet_total(breakdowns, area_mm2) == mapping.total
 
 
 @settings(PROPERTY, max_examples=40)
