@@ -10,6 +10,13 @@ scale is s = (max(V) - min(V)) / (2^b - 1), values are shifted by min(V),
 divided by s (never below 0), clipped to at most 2^b - 1, rounded
 half-to-even, and mapped back; the top code maps to max(V) exactly.  The
 rounding mode is stated explicitly because example values depend on it.
+
+`quantize` skips each pass its inputs prove changes no bit: the clip below
+52 bits, where rounding alone keeps every code at most 2^b - 1; the top-code
+pin when the top code already dequantizes to max(V), bit for bit; and the
+pin's mask when a plain minimum with max(V) pins exactly the top codes.
+`mix_precision` starts its sum from the first weighted width instead of
+from zeros.  Each rule is proved where it is applied.
 """
 
 from __future__ import annotations
@@ -101,19 +108,37 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, QuantSpec]:
     if scale < MIN_SCALE:
         raise ValueError(f"value range [{lo!r}, {hi!r}] at {bits} bits gives scale {scale!r}, "
                          f"below 2^-1022")
-    # One buffer.  (v - lo) / scale is never below 0, so only the top is
-    # clipped: from 52 bits on, a rounded scale can lift the maximum above qmax.
+    # One buffer.  (v - lo) / scale is never below 0, so only the top can
+    # need a clip, and only from 52 bits on.  With u = 2^-53 and D = hi - lo
+    # (the largest v - lo, rounding being monotone), scale >= (D / qmax)(1 - u),
+    # so the largest quotient is at most qmax (1 + u) / (1 - u), which is below
+    # qmax + 0.5 for qmax <= 2^51 - 1: up to 51 bits rint alone keeps every
+    # code at most qmax.
     q = np.subtract(v, lo)
     q /= scale
-    np.minimum(q, qmax, out=q)
+    if bits >= 52:
+        np.minimum(q, qmax, out=q)
     np.rint(q, out=q)
-    top = q == qmax
-    q *= scale
-    q += lo
     # Pin the top code exactly to max(V): qmax * ((hi-lo)/qmax) is off by an
     # ulp in general, and a drifting range would break exact idempotence by
-    # changing the scale derived on re-quantization.
-    np.copyto(q, hi, where=top)
+    # changing the scale derived on re-quantization.  Dequantization is
+    # monotone in the code, so two scalars, by the same float operations the
+    # passes below apply, decide the pin: the top code's value T and the
+    # next code's value P.  T equal to max(V) bit for bit (zero's sign too:
+    # -2.5 and -0.0 give T = +0.0) needs no pin.  T above max(V) and P below
+    # it means only the top codes land above max(V), so a minimum with max(V)
+    # pins them and leaves every other value as it is.  Otherwise the top
+    # codes are masked before dequantization.
+    top_value = qmax * scale + lo
+    pinned = top_value == hi and math.copysign(1.0, top_value) == math.copysign(1.0, hi)
+    by_minimum = not pinned and top_value > hi > (qmax - 1) * scale + lo
+    top = None if pinned or by_minimum else q == qmax
+    q *= scale
+    q += lo
+    if by_minimum:
+        np.minimum(q, hi, out=q)
+    elif top is not None:
+        np.copyto(q, hi, where=top)
     return q, QuantSpec(bits=bits, scale=scale, qmin=0, qmax=qmax, offset=lo)
 
 
@@ -129,16 +154,24 @@ def mix_precision(
     ``betas`` holds one finite, non-negative weight per bit choice, summing
     to 1 within ``BETAS_SUM_TOLERANCE``, all checked before any work.
 
+    The sum starts from the first weighted width plus 0.0, not from an array
+    of zeros: IEEE addition is commutative, so ``w*q + 0.0`` has the bits of
+    ``0.0 + w*q`` (a -0.0 product becomes +0.0 either way).
+
     It holds one quantized width at a time: each width's array is dropped
-    once it is in the sum, so the working set is the output, one quantized
-    copy and that copy's top-code mask."""
+    once it is in the sum, so the working set is at most the output, one
+    quantized copy and that copy's top-code mask."""
     betas = _check_mixture(betas, bit_choices)
     v = np.asarray(values, dtype=np.float64)
-    mixed = np.zeros_like(v)
+    mixed = None
     for weight, bits in zip(betas, bit_choices):
         q = quantize(v, bits)[0]  # a fresh array, scaled in place
         q *= weight
-        mixed += q
+        if mixed is None:
+            q += 0.0
+            mixed = q
+        else:
+            mixed += q
         del q  # freed before the next width allocates its own
     return mixed
 
@@ -169,18 +202,20 @@ def gumbel_softmax(
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ValueError("cannot relax empty logits: they name no category")
-    if noise is None:
-        if rng is None:
-            eps = np.zeros_like(z)
-        else:
-            gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-            u = gen.random(z.shape)
-            eps = u if mode == "paper" else -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
-    else:
+    if noise is not None:
         eps = np.asarray(noise, dtype=np.float64)
+    elif rng is not None:
+        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        u = gen.random(z.shape)
+        eps = u if mode == "paper" else -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
+    else:
+        # No perturbation.  Adding zeros would change at most a zero's sign,
+        # and a +0 and a -0 logit get the same probability: less the maximum
+        # they are equal, or are both zeros, whose exp is 1.
+        eps = None
     # an overflow to +inf is refused below; one to -inf, far below the maximum, is probability 0
     with np.errstate(over="ignore"):
-        shifted = (z + eps) / tau
+        shifted = (z if eps is None else z + eps) / tau
         top = shifted.max()  # NaN if any entry is NaN
         if not math.isfinite(top):
             raise ValueError(f"the relaxed logits (logits + noise) / tau must have a finite "

@@ -1,13 +1,15 @@
 """The committed benchmark records, `BENCH_*.json`, against the record's
-schema in `tools/bench_record.py`: provenance fields, and workload names,
-metric names and units from `BENCHMARK.json`.  No number is checked and no
-benchmark runs."""
+schema in `tools/bench_record.py`: provenance fields, workload names, metric
+names and units from `BENCHMARK.json`, and stage names from `STAGES`.  No
+number is checked and no benchmark runs; the stage wrappers are exercised on
+one small mixture in process."""
 
 import copy
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +70,81 @@ def test_schema_refuses_names_and_units_outside_the_benchmark(corrupt):
     corrupt(rec)
     with pytest.raises(ValueError):
         bench_record.check_record(rec, BENCH)
+
+
+def mixture_stages(repetitions=2):
+    """The `stages` entry of one small mixture, timed in process."""
+    from acceldse import quant
+
+    values = np.linspace(-1.0, 3.0, 64)
+    functions, absent = bench_record.stage_functions()
+    entry = bench_record.time_stages(lambda: quant.mix_precision(values, [0.2, 0.3, 0.5]),
+                                     functions, repetitions)
+    block = {"machine": {"cores": 2, "python": "3.11.7", "numpy": "2.4.6"}, "absent": absent,
+             "workloads": {"quant-k100": {"seed": 1, **entry}}}
+    return block, functions
+
+
+def test_stages_count_each_wrapped_call_and_restore_the_functions():
+    """The mixture calls `quantize` once per width through its module
+    attribute, so the wrapper sees all three calls; afterwards every module
+    attribute holds its own function again."""
+    from acceldse import quant
+
+    block, functions = mixture_stages()
+    entry = block["workloads"]["quant-k100"]
+    assert block["absent"] == []
+    assert {name: s["calls"] for name, s in entry["stages"].items()} == {
+        "quant.quantize": 3, "quant.mix_precision": 1}
+    assert set(entry["wall_s"]) == {"unwrapped", "wrapped", "overhead_ratio"}
+    assert quant.quantize is functions["quant.quantize"]
+    assert quant.mix_precision is functions["quant.mix_precision"]
+    bench_record.check_record({"kind": "stages", "stages": block}, BENCH)
+    run, provenance = parsed_run()
+    pairs = [{"workload": "cost-memo-cold", "seed": 1, "first": "parent", "parent": run,
+              "change": copy.deepcopy(run)}]
+    bench_record.check_record({
+        "kind": "paired", "provenance": {"parent": provenance, "change": provenance},
+        "pairs": pairs, "summary": bench_record.summarize(pairs, BENCH),
+        "stages": {"parent": block, "change": copy.deepcopy(block)}}, BENCH)
+
+
+def test_a_stage_the_code_lacks_is_recorded_absent(monkeypatch):
+    from acceldse import quant
+
+    monkeypatch.delattr(quant, "gumbel_softmax")
+    functions, absent = bench_record.stage_functions()
+    assert absent == ["quant.gumbel_softmax"] and "quant.gumbel_softmax" not in functions
+
+
+def test_stage_calls_must_repeat_across_repetitions():
+    from acceldse import quant
+
+    functions, _ = bench_record.stage_functions()
+    runs = []
+
+    def growing():
+        runs.append(None)
+        for _ in runs:
+            quant.quantize(np.arange(4.0), 2)
+
+    with pytest.raises(RuntimeError, match="stage calls differ between repetitions"):
+        bench_record.time_stages(growing, functions, 2)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b["workloads"]["quant-k100"]["stages"].update({"quant.requantize": {
+        "calls": 1, "self_s": 0.0}}),
+    lambda b: b["workloads"]["quant-k100"]["stages"]["quant.quantize"].update(calls=0),
+    lambda b: b["absent"].append("quant.quantize"),
+    lambda b: b["absent"].append("quant.requantize"),
+    lambda b: b["workloads"].update({"quant-k50": b["workloads"]["quant-k100"]}),
+    lambda b: b["workloads"]["quant-k100"]["wall_s"].pop("overhead_ratio"),
+    lambda b: b.pop("machine"),
+], ids=["unknown-stage", "no-calls", "present-and-absent", "unknown-absent", "workload",
+        "overhead", "machine"])
+def test_stage_schema_refuses_names_outside_the_stages(corrupt):
+    block, _ = mixture_stages()
+    corrupt(block)
+    with pytest.raises(ValueError):
+        bench_record.check_record({"kind": "stages", "stages": block}, BENCH)

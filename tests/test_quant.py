@@ -252,8 +252,9 @@ def tensors(draw, shapes):
 ANY_SHAPE = st.lists(st.integers(1, 5), max_size=3).map(tuple)  # 0-d up to 3-d
 ACTS_SHAPE = st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3))
 # 52 and 53 bits are where a rounded scale can lift the maximum above the top
-# code, so only the upper clip keeps the reference's two-sided clip's bits
-BIT_SETS = st.sampled_from(((2, 4, 8), (1, 3), (16, 52, 53)))
+# code, so only the upper clip keeps the reference's two-sided clip's bits;
+# `quantize` clips from 52 bits on, and 51 bits is the widest it does not
+BIT_SETS = st.sampled_from(((2, 4, 8), (1, 3), (16, 51, 52, 53)))
 
 
 def assert_fresh(out, values, before: bytes):
@@ -294,6 +295,50 @@ def test_kernels_match_the_plain_reference_bit_for_bit(data):
     want = reference_quantize_channels(acts, channels, betas, bit_choices)
     assert out.shape == acts.shape and np.array_equal(as_bits(out), as_bits(want))
     assert_fresh(out, acts, before)
+
+
+def test_the_top_clip_matters_from_52_bits():
+    """Over [0, x] with x = 0x1.7497e1b7c6a3cp+0 the rounded scale lifts
+    x / s to qmax + 0.5 at 52 bits, where rint would give qmax + 1 and only
+    the clip keeps the top code; at 51 bits the quotient stays below
+    qmax + 0.5, as the bound in `quantize` proves for every range."""
+    x = float.fromhex("0x1.7497e1b7c6a3cp+0")
+    values = np.array([0.0, x / 3, x])
+    for bits, lifted in ((51, False), (52, True)):
+        qmax = 2**bits - 1
+        assert (x / (x / qmax) >= qmax + 0.5) is lifted
+        out, spec = quantize(values, bits)
+        want, want_spec = reference_quantize(values, bits)
+        assert spec == want_spec and np.array_equal(as_bits(out), as_bits(want))
+
+
+@pytest.mark.parametrize("hi, case", [
+    (1.0, "skipped"), (0.1, "minimum"), (0.3, "mask"), (-0.0, "mask"),
+], ids=["skipped", "minimum", "mask-below", "mask-signed-zero"])
+def test_each_top_code_pin_matches_the_plain_reference(hi, case):
+    """At 2 bits over values from -2.5 to `hi`, the top code dequantizes to
+    T = 3s - 2.5 and the code below it to P = 2s - 2.5.  The pin is skipped
+    when T is `hi` bit for bit, is a minimum when T > hi > P, and is a mask
+    otherwise: T below `hi` at 0.3, and T = +0.0 against `hi` = -0.0.  Each
+    input reaches its case, and its quantization and its mixtures, with a
+    zero weight first or last, equal the plain reference bit for bit."""
+    scale = (hi + 2.5) / 3
+    top_value, below_top = 3 * scale - 2.5, 2 * scale - 2.5
+    same_bits = as_bits(top_value) == as_bits(hi)
+    if case == "skipped":
+        assert same_bits
+    elif case == "minimum":
+        assert top_value > hi > below_top
+    else:
+        assert not same_bits and not top_value > hi
+    values = np.array([hi, -2.5, -1.6, -0.8, hi, -2.4])
+    out, spec = quantize(values, 2)
+    want, want_spec = reference_quantize(values, 2)
+    assert spec == want_spec and spec.scale == scale
+    assert np.array_equal(as_bits(out), as_bits(want))
+    for betas in ([1.0, 0.0], [0.0, 1.0]):
+        assert np.array_equal(as_bits(mix_precision(values, betas, (2, 4))),
+                              as_bits(reference_mix_precision(values, betas, (2, 4))))
 
 
 @pytest.mark.parametrize("bits", [0, -3, 54, 2000, 2.5, 8.0, True, False, "8", None, np.int8(-1)])
@@ -514,6 +559,34 @@ def test_quant_inputs_outside_their_domain_are_refused(make, match):
 def test_gumbel_softmax_gives_a_minus_inf_logit_probability_zero():
     """A -inf among finite logits is a category ruled out, not an error."""
     assert gumbel_softmax([-np.inf, 1.0, 1.0], 1.0).tolist() == [0.0, 0.5, 0.5]
+
+
+EDGE_LOGITS = st.sampled_from((0.0, -0.0, -np.inf, 1.0, -3.5, 700.0, -745.0, 5e-324, 1e308,
+                                 -1e308, 1.7976931348623157e308))
+
+
+@settings(PROPERTY)
+@given(st.lists(EDGE_LOGITS | st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=6),
+       st.sampled_from((1e-300, 1e-3, 0.1, 0.7, 1.0, 3.0, 1e300)),
+       st.sampled_from(("paper", "standard")))
+def test_gumbel_softmax_without_noise_is_the_zero_noise_relaxation(logits, tau, mode):
+    """With neither `noise` nor `rng` the logits are not perturbed: the
+    output, or the refusal, is that of an explicit zero noise, bit for bit,
+    signed zeros, -inf and overflowing logits included."""
+    z = np.array(logits)
+
+    def relax(**noise):
+        try:
+            return gumbel_softmax(z, tau, mode=mode, **noise)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = relax(), relax(noise=np.zeros_like(z))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(as_bits(got), as_bits(want))
 
 
 @pytest.mark.parametrize("logits, tau, noise", [

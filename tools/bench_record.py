@@ -3,7 +3,9 @@
     python3 tools/bench_record.py record --workloads all --seeds 1 --seconds 10 \\
         [--trace] --out BENCH.json
     python3 tools/bench_record.py paired --parent REV --workloads cost-memo-cold \\
-        --seeds 2 --pairs 10 --seconds 10 --out BENCH_<n>.json
+        --seeds 2 --pairs 10 --seconds 10 [--append] --out BENCH_<n>.json
+    python3 tools/bench_record.py stages --workloads all --seed 1 \\
+        [--repetitions 3] [--tree DIR] --out STAGES.json
 
 Each run is one `python3 perfbench/run.py --workload W --seed N --seconds S
 --trace T` subprocess in a source tree; the record keeps what it prints: the
@@ -17,22 +19,44 @@ git ignores, compiles both trees, and runs each (workload, seed) `--pairs`
 times on each side, alternating which side runs first.  For each workload
 and end-to-end metric of `BENCHMARK.json` it writes both sides' medians and
 quartiles, the pairs each side won (by the metric's `better`), the ties, and
-the ratio of medians, change over parent.
+the ratio of medians, change over parent.  With `--append` the new pairs
+join those of the record already at `--out` (same parent), and the summary
+is taken over all of them.
+
+`stages` runs each workload's inputs from `perfbench/gen.py` in process,
+with the acceldse of `--tree` (this checkout by default), and wraps the
+stage functions of `STAGES` at every module attribute that refers to them,
+as `perfbench/spans.py` wraps its boundaries.  Each repetition clears the
+package's `lru_cache`s first, so it starts as cold as a fresh process.  Per
+workload it records each stage's calls, which must repeat exactly across
+repetitions, and its median self-time (its time less that of the wrapped
+stages it calls), with the median wall time wrapped and unwrapped: the
+wrappers' overhead.  A stage the tree does not have is recorded as absent.
+`paired` writes one such block per side, each from a `stages` subprocess on
+that side's tree, on the first seed.
 
 `check_record` is the record's schema: workload, metric and unit names come
-from `BENCHMARK.json`; no number is checked.
+from `BENCHMARK.json`, stage names from `STAGES`; no number is checked.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+from collections import defaultdict
+from contextlib import contextmanager, nullcontext, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +67,22 @@ RUN_FIELDS = ("workload", "seed", "trace", "correct", "attempted", "failed", "me
 SIDES = ("parent", "change")
 # A run's wall time is about `--seconds` per phase plus the set-up samples and checks.
 RUN_TIMEOUT_S = 1800
+# Stage functions the `stages` mode times, as (module, attribute) in acceldse:
+# the quant kernels, the cost stages inside `evaluate_tilings`, the tiling
+# search and the search engines.  A stage is named `<module>.<attribute>`.
+STAGES = (
+    ("quant", "quantize"), ("quant", "mix_precision"), ("quant", "quantize_channels"),
+    ("quant", "topk_channels"), ("quant", "channel_importance"), ("quant", "gumbel_softmax"),
+    ("costmodel", "_grid_table"), ("costmodel", "_fit_mask"), ("costmodel", "_compute_cycles"),
+    ("costmodel", "_refetch_factors"), ("costmodel", "_energy_base"), ("costmodel", "_traffic"),
+    ("costmodel", "_combine"), ("costmodel", "evaluate_tilings"),
+    ("costmodel", "fits_caches_mask"), ("costmodel", "estimate_cost"),
+    ("tiling", "_objective"), ("tiling", "batch_search"), ("tiling", "map_subnet"),
+    ("hwsearch", "anneal_search"), ("hwsearch", "train_policy"),
+)
+STAGE_NAMES = tuple(f"{module}.{attr}" for module, attr in STAGES)
+STAGE_REPETITIONS = 3
+STAGE_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def benchmark(root: Path = ROOT) -> dict:
@@ -180,9 +220,220 @@ def paired(args, bench) -> dict:
                     f"{side} {pair[side]['metrics']['norm_wall_s']['value']:.4f}"
                     for side in SIDES), file=sys.stderr)
     provenance["parent"]["git_sha"] = parent_sha  # the extracted tree has no `.git`
+    stages = stage_blocks(trees, workload_names(args.workloads, bench), args.seeds[0])
     return {"kind": "paired", "seconds": args.seconds, "seeds": args.seeds,
             "parent": parent_sha, "change_uncommitted": uncommitted(), "provenance": provenance,
-            "pairs": pairs, "summary": summarize(pairs, bench)}
+            "pairs": pairs, "summary": summarize(pairs, bench), "stages": stages}
+
+
+def stage_blocks(trees: dict, workloads: list[str], seed: int) -> dict:
+    """One `stages` block per side, each from a `stages` run on its tree."""
+    blocks = {}
+    for side, tree in trees.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "stages.json"
+            subprocess.run([sys.executable, str(Path(__file__).resolve()), "stages", "--tree",
+                            str(tree), "--workloads", *workloads, "--seed", str(seed),
+                            "--out", str(out)],
+                           cwd=ROOT, check=True, timeout=RUN_TIMEOUT_S)
+            blocks[side] = json.loads(out.read_text(encoding="utf-8"))["stages"]
+    return blocks
+
+
+def append(old: dict, new: dict) -> dict:
+    """The paired record `new` with the pairs and stage records of `old`
+    before its own, and the summary taken over all the pairs."""
+    if old.get("kind") != "paired" or (old["parent"], old["seconds"]) != (new["parent"],
+                                                                          new["seconds"]):
+        raise ValueError("--append: the record at --out is no paired record of the same parent "
+                         "and --seconds")
+    pairs = old["pairs"] + new["pairs"]
+    stages = {side: {**new["stages"][side], "workloads": {
+        **old.get("stages", {}).get(side, {}).get("workloads", {}),
+        **new["stages"][side]["workloads"]}} for side in SIDES}
+    return {**new, "seeds": list(dict.fromkeys(old["seeds"] + new["seeds"])), "pairs": pairs,
+            "summary": summarize(pairs, benchmark()), "stages": stages}
+
+
+class StageTimer:
+    """Calls and self-times of the wrapped stages during one repetition."""
+
+    def __init__(self):
+        self.calls: dict[str, int] = defaultdict(int)
+        self.self_s: dict[str, float] = defaultdict(float)
+        self._inner: list[float] = []  # per open call, the time of the wrapped calls inside it
+
+    def wrap(self, name: str, fn):
+        calls, self_s, inner = self.calls, self.self_s, self._inner
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            inner.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                calls[name] += 1
+                self_s[name] += elapsed - inner.pop()
+                if inner:
+                    inner[-1] += elapsed
+
+        return timed
+
+
+def _acceldse_modules() -> list:
+    return [m for name, m in sorted(sys.modules.items())
+            if m is not None and (name == "acceldse" or name.startswith("acceldse."))]
+
+
+def stage_functions() -> tuple[dict, list[str]]:
+    """The function of each stage in `STAGES` that the imported acceldse
+    has, by name, and the names of those it does not have."""
+    present, absent = {}, []
+    for (module, attr), name in zip(STAGES, STAGE_NAMES):
+        try:
+            fn = getattr(importlib.import_module(f"acceldse.{module}"), attr, None)
+        except ImportError:
+            fn = None
+        if callable(fn):
+            present[name] = fn
+        else:
+            absent.append(name)
+    return present, absent
+
+
+@contextmanager
+def stages_wrapped(timer: StageTimer, functions: dict):
+    """Each function wrapped by `timer` at every acceldse module attribute
+    that refers to it, for the duration of the block."""
+    patched = []
+    try:
+        for name, original in functions.items():
+            wrapper = timer.wrap(name, original)
+            for module in _acceldse_modules():
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        setattr(module, key, wrapper)
+                        patched.append((module, key, original))
+        yield timer
+    finally:
+        for module, key, original in reversed(patched):
+            setattr(module, key, original)
+
+
+def clear_caches() -> None:
+    """Empty every `lru_cache` of acceldse, as a fresh process has them."""
+    for module in _acceldse_modules():
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_info") and hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def time_stages(run, functions: dict, repetitions: int) -> dict:
+    """Run `run` `repetitions` times unwrapped and as often wrapped, in
+    turn: the median wall time of each, and each stage's calls and median
+    self-time.  A stage's calls must be the same in every repetition."""
+    walls = {"unwrapped": [], "wrapped": []}
+    counts, self_times = None, defaultdict(list)
+    for _ in range(repetitions):
+        for side in walls:
+            clear_caches()
+            timer = StageTimer()
+            with stages_wrapped(timer, functions) if side == "wrapped" else nullcontext():
+                with redirect_stdout(StringIO()):
+                    start = time.perf_counter()
+                    run()
+                    walls[side].append(time.perf_counter() - start)
+        if counts is None:
+            counts = dict(timer.calls)
+        elif dict(timer.calls) != counts:
+            raise RuntimeError(f"stage calls differ between repetitions: {counts} then "
+                               f"{dict(timer.calls)}")
+        for name, seconds in timer.self_s.items():
+            self_times[name].append(seconds)
+    wall = {side: statistics.median(values) for side, values in walls.items()}
+    return {"repetitions": repetitions,
+            "wall_s": {**wall, "overhead_ratio": wall["wrapped"] / wall["unwrapped"]},
+            "stages": {name: {"calls": counts[name], "self_s": statistics.median(self_times[name])}
+                       for name in STAGE_NAMES if name in counts}}
+
+
+def stage_run(workload: str, seed: int, work: Path):
+    """One repetition of `workload`'s work in process, on the benchmark's
+    inputs of `seed` (`perfbench/gen.py`): the CLI command a repetition runs
+    with its first annealing or generator seed, or one quant pass."""
+    import gen
+    import workloads as perfbench_workloads
+    from acceldse import cli, quant
+
+    def write(filename: str, doc) -> str:
+        path = work / filename
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def command(argv: list[str]):
+        def run():
+            rc = cli.main([*argv, "--threads", "1"])
+            if rc != 0:
+                raise RuntimeError(f"acceldse {' '.join(argv[:2])} exited {rc}")
+        return run
+
+    if workload.startswith("quant-k"):
+        k, maps = int(workload[len("quant-k"):]), gen.quant_inputs(seed)
+
+        def quant_pass():
+            for acts, alpha, gammas, betas in maps:
+                channels = quant.topk_channels(quant.channel_importance(alpha, gammas), k)
+                quant.quantize_channels(acts, channels, betas, gen.BITS)
+        return quant_pass
+    if workload == "anneal-full":
+        subnet = write("subnet22.json", gen.subnet22_doc())
+        return command(["search", "accel", "--workload", subnet, "--engine", "anneal",
+                        "--seed", str(gen.anneal_seed(seed, 0)), "--max-evaluations",
+                        str(perfbench_workloads.ANNEAL_EVALUATIONS),
+                        "--out", str(work / "anneal.json")])
+    if workload == "co-generator":
+        state = write("supernet.json", gen.supernet_state_doc(seed))
+        return command(["search", "co", "--state", state,
+                        "--space", write("space24.json", gen.SPACE24_DOC),
+                        *perfbench_workloads.CO_FLAGS,
+                        "--seed", str(gen.co_generator_seed(seed, 0)),
+                        "--out", str(work / "co.json")])
+    ops, accel, tilings = gen.memo_docs(seed)
+    memo = work / f"{workload}.jsonl"
+    cost = command(["cost", "--workload", write("ops.json", ops),
+                    "--accel", write("accel.json", accel),
+                    "--tiling", write("tilings.json", tilings), "--cache", str(memo),
+                    "--out", str(work / f"{workload}.json")])
+    if workload == "cost-memo-warm":
+        cost()  # writes the memo every repetition reads
+        return cost
+
+    def cold():
+        memo.unlink(missing_ok=True)
+        cost()
+    return cold
+
+
+def stages(args, bench) -> dict:
+    tree = Path(args.tree).resolve()
+    os.environ.update(STAGE_THREADS)  # one BLAS thread, as the benchmark's processes have
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import numpy
+
+    functions, absent = stage_functions()
+    records = {}
+    with tempfile.TemporaryDirectory() as work:
+        for workload in workload_names(args.workloads, bench):
+            run = stage_run(workload, args.seed, Path(work))
+            records[workload] = {"seed": args.seed, **time_stages(run, functions, args.repetitions)}
+            print(f"stages {workload} seed {args.seed}: wall "
+                  f"{json.dumps(records[workload]['wall_s'])}", file=sys.stderr)
+    machine = {"cores": os.cpu_count(), "python": platform.python_version(),
+               "numpy": numpy.__version__}
+    return {"kind": "stages", "stages": {"machine": machine, "absent": absent,
+                                         "workloads": records}}
 
 
 def uncommitted() -> list[str]:
@@ -222,9 +473,34 @@ def _check_provenance(provenance: dict, where: str) -> None:
         raise ValueError(f"{where}: provenance lacks {missing}")
 
 
+def check_stages(block: dict, names: set, where: str) -> None:
+    """Raise `ValueError` where a `stages` block breaks its schema."""
+    if sorted(block) != ["absent", "machine", "workloads"]:
+        raise ValueError(f"{where}: fields {sorted(block)}, expected absent, machine, workloads")
+    if not set(block["absent"]) <= set(STAGE_NAMES):
+        raise ValueError(f"{where}: absent names {block['absent']} outside STAGES")
+    for workload, entry in block["workloads"].items():
+        at = f"{where} {workload}"
+        if workload not in names:
+            raise ValueError(f"{at}: workload is not in BENCHMARK.json")
+        if sorted(entry) != ["repetitions", "seed", "stages", "wall_s"] or sorted(
+                entry["wall_s"]) != ["overhead_ratio", "unwrapped", "wrapped"]:
+            raise ValueError(f"{at}: needs seed, repetitions, stages and the wall times "
+                             "wrapped, unwrapped and their ratio")
+        for name, stage in entry["stages"].items():
+            if name not in STAGE_NAMES or name in block["absent"]:
+                raise ValueError(f"{at}: stage {name} is not one of STAGES, or is absent")
+            if sorted(stage) != ["calls", "self_s"] or type(stage["calls"]) is not int \
+                    or stage["calls"] < 1:
+                raise ValueError(f"{at}: stage {name} needs a positive int of calls and a self_s")
+
+
 def check_record(rec: dict, bench: dict) -> None:
     """Raise `ValueError` where `rec` breaks the record's schema."""
     names = {w["name"] for w in bench["workloads"]}
+    if rec.get("kind") == "stages":
+        check_stages(rec["stages"], names, "stages")
+        return
     if rec.get("kind") == "record":
         _check_provenance(rec["provenance"], "record")
         runs = [(run, f"run {i}") for i, run in enumerate(rec["runs"])]
@@ -243,8 +519,12 @@ def check_record(rec: dict, bench: dict) -> None:
                         key in stats for key in (*SIDES, "wins", "ratio_of_medians")):
                     raise ValueError(f"summary of {workload} {name}: unit, direction or "
                                      "statistics missing")
+        for side, block in rec.get("stages", {}).items():  # records before stages have none
+            if side not in SIDES:
+                raise ValueError(f"stages of {side}: neither 'parent' nor 'change'")
+            check_stages(block, names, f"stages of {side}")
     else:
-        raise ValueError(f"kind {rec.get('kind')!r} is neither 'record' nor 'paired'")
+        raise ValueError(f"kind {rec.get('kind')!r} is not 'record', 'paired' or 'stages'")
     if not runs:
         raise ValueError("the record holds no run")
     for run, where in runs:
@@ -254,20 +534,32 @@ def check_record(rec: dict, bench: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("record", "paired"):
+    for mode in ("record", "paired", "stages"):
         p = sub.add_parser(mode)
         p.add_argument("--workloads", nargs="+", default=["all"])
+        p.add_argument("--out", required=True)
+        if mode == "stages":
+            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--repetitions", type=int, default=STAGE_REPETITIONS,
+                           help="repetitions wrapped and as many unwrapped; at least 2")
+            p.add_argument("--tree", default=str(ROOT), help="the source tree to import")
+            continue
         p.add_argument("--seeds", nargs="+", type=int, required=True)
         p.add_argument("--seconds", type=float, required=True)
-        p.add_argument("--out", required=True)
         if mode == "record":
             p.add_argument("--trace", action="store_true")
         else:
             p.add_argument("--parent", required=True, help="the git revision to compare with")
             p.add_argument("--pairs", type=int, default=10)
+            p.add_argument("--append", action="store_true",
+                           help="add to the paired record at --out")
     args = parser.parse_args(argv)
+    if getattr(args, "repetitions", 2) < 2:
+        parser.error("--repetitions must be at least 2, so the calls can be compared")
     bench = benchmark()
-    rec = record(args, bench) if args.mode == "record" else paired(args, bench)
+    rec = {"record": record, "paired": paired, "stages": stages}[args.mode](args, bench)
+    if args.mode == "paired" and args.append:
+        rec = append(json.loads(Path(args.out).read_text(encoding="utf-8")), rec)
     check_record(rec, bench)
     Path(args.out).write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
     return 0
