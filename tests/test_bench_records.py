@@ -2,17 +2,20 @@
 schema in `tools/bench_record.py`: provenance fields, workload names, metric
 names and units from `BENCHMARK.json`, and stage names from `STAGES`.  No
 number is checked and no benchmark runs; the stage wrappers are exercised on
-one small mixture in process."""
+one small mixture in process, and `--append` on hand-made paired records."""
 
 import copy
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "perfbench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "perfbench"))  # the stage timer records with spans.Recorder
 _spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
@@ -46,14 +49,50 @@ def parsed_run():
     return run, out["provenance"]
 
 
-def test_a_paired_record_from_parsed_output_matches_the_schema():
+def paired_record(stages=None):
+    """A paired record of one pair whose sides ran the same parsed output."""
     run, provenance = parsed_run()
     pairs = [{"workload": "cost-memo-cold", "seed": 1, "first": "parent", "parent": run,
               "change": copy.deepcopy(run)}]
-    rec = {"kind": "paired", "provenance": {"parent": provenance, "change": provenance},
+    rec = {"kind": "paired", "seconds": 10.0, "seeds": [1], "parent": "0" * 40,
+           "change_uncommitted": [],
+           "provenance": {"parent": provenance, "change": copy.deepcopy(provenance)},
            "pairs": pairs, "summary": bench_record.summarize(pairs, BENCH)}
+    if stages is not None:
+        rec["stages"] = {side: copy.deepcopy(stages) for side in bench_record.SIDES}
+    return rec
+
+
+def test_a_paired_record_from_parsed_output_matches_the_schema():
+    rec = paired_record()
     bench_record.check_record(rec, BENCH)
     assert rec["summary"]["cost-memo-cold"]["norm_wall_s"]["wins"]["ties"] == 1
+
+
+def test_append_sums_the_pairs_of_records_of_the_same_trees():
+    block, _ = mixture_stages()
+    old, new = paired_record(block), paired_record(block)
+    new["pairs"][0]["change"]["metrics"]["norm_wall_s"]["value"] = 0.1
+    rec = bench_record.append(old, new, BENCH)
+    bench_record.check_record(rec, BENCH)
+    summary = rec["summary"]["cost-memo-cold"]["norm_wall_s"]
+    assert len(rec["pairs"]) == summary["pairs"] == 2
+    assert summary["wins"] == {"parent": 0, "change": 1, "ties": 1}
+
+
+@pytest.mark.parametrize("differ", [
+    lambda rec: rec["provenance"]["change"].update(git_sha="1" * 40),
+    lambda rec: rec["provenance"]["change"].update(src_sha256="1"),
+    lambda rec: rec["provenance"]["parent"].update(numpy="2.0.0"),
+    lambda rec: rec["change_uncommitted"].append("src/acceldse/quant.py"),
+    lambda rec: rec.update(parent="1" * 40),
+    lambda rec: rec.update(seconds=5.0),
+], ids=["change-commit", "change-source", "parent-numpy", "uncommitted", "parent", "seconds"])
+def test_append_refuses_a_record_of_other_trees(differ):
+    old, new = paired_record(), paired_record()
+    differ(old)
+    with pytest.raises(ValueError, match="--append"):
+        bench_record.append(old, new, BENCH)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -80,7 +119,7 @@ def mixture_stages(repetitions=2):
     functions, absent = bench_record.stage_functions()
     entry = bench_record.time_stages(lambda: quant.mix_precision(values, [0.2, 0.3, 0.5]),
                                      functions, repetitions)
-    block = {"machine": {"cores": 2, "python": "3.11.7", "numpy": "2.4.6"}, "absent": absent,
+    block = {"provenance": parsed_run()[1], "absent": absent,
              "workloads": {"quant-k100": {"seed": 1, **entry}}}
     return block, functions
 
@@ -100,13 +139,15 @@ def test_stages_count_each_wrapped_call_and_restore_the_functions():
     assert quant.quantize is functions["quant.quantize"]
     assert quant.mix_precision is functions["quant.mix_precision"]
     bench_record.check_record({"kind": "stages", "stages": block}, BENCH)
-    run, provenance = parsed_run()
-    pairs = [{"workload": "cost-memo-cold", "seed": 1, "first": "parent", "parent": run,
-              "change": copy.deepcopy(run)}]
-    bench_record.check_record({
-        "kind": "paired", "provenance": {"parent": provenance, "change": provenance},
-        "pairs": pairs, "summary": bench_record.summarize(pairs, BENCH),
-        "stages": {"parent": block, "change": copy.deepcopy(block)}}, BENCH)
+    bench_record.check_record(paired_record(block), BENCH)
+
+
+def test_a_paired_record_refuses_stages_of_another_tree():
+    block, _ = mixture_stages()
+    rec = paired_record(block)
+    rec["stages"]["change"]["provenance"]["src_sha256"] = "1"
+    with pytest.raises(ValueError, match="provenance differs"):
+        bench_record.check_record(rec, BENCH)
 
 
 def test_a_stage_the_code_lacks_is_recorded_absent(monkeypatch):
@@ -140,9 +181,10 @@ def test_stage_calls_must_repeat_across_repetitions():
     lambda b: b["absent"].append("quant.requantize"),
     lambda b: b["workloads"].update({"quant-k50": b["workloads"]["quant-k100"]}),
     lambda b: b["workloads"]["quant-k100"]["wall_s"].pop("overhead_ratio"),
-    lambda b: b.pop("machine"),
+    lambda b: b.pop("provenance"),
+    lambda b: b["provenance"].pop("git_sha"),
 ], ids=["unknown-stage", "no-calls", "present-and-absent", "unknown-absent", "workload",
-        "overhead", "machine"])
+        "overhead", "provenance", "provenance-sha"])
 def test_stage_schema_refuses_names_outside_the_stages(corrupt):
     block, _ = mixture_stages()
     corrupt(block)

@@ -4,8 +4,8 @@
         [--trace] --out BENCH.json
     python3 tools/bench_record.py paired --parent REV --workloads cost-memo-cold \\
         --seeds 2 --pairs 10 --seconds 10 [--append] --out BENCH_<n>.json
-    python3 tools/bench_record.py stages --workloads all --seed 1 \\
-        [--repetitions 3] [--tree DIR] --out STAGES.json
+    python3 tools/bench_record.py stages --workloads all --seed 1 [--tree DIR] \\
+        --out STAGES.json
 
 Each run is one `python3 perfbench/run.py --workload W --seed N --seconds S
 --trace T` subprocess in a source tree; the record keeps what it prints: the
@@ -20,20 +20,24 @@ times on each side, alternating which side runs first.  For each workload
 and end-to-end metric of `BENCHMARK.json` it writes both sides' medians and
 quartiles, the pairs each side won (by the metric's `better`), the ties, and
 the ratio of medians, change over parent.  With `--append` the new pairs
-join those of the record already at `--out` (same parent), and the summary
-is taken over all of them.
+join those of the record already at `--out`, and the summary is taken over
+all of them; the two records must share the parent, `--seconds`, both
+sides' provenance and the change's uncommitted paths, so every pair
+measured the same two trees.
 
 `stages` runs each workload's inputs from `perfbench/gen.py` in process,
-with the acceldse of `--tree` (this checkout by default), and wraps the
-stage functions of `STAGES` at every module attribute that refers to them,
-as `perfbench/spans.py` wraps its boundaries.  Each repetition clears the
-package's `lru_cache`s first, so it starts as cold as a fresh process.  Per
-workload it records each stage's calls, which must repeat exactly across
-repetitions, and its median self-time (its time less that of the wrapped
-stages it calls), with the median wall time wrapped and unwrapped: the
-wrappers' overhead.  A stage the tree does not have is recorded as absent.
-`paired` writes one such block per side, each from a `stages` subprocess on
-that side's tree, on the first seed.
+with the acceldse and `perfbench/` of `--tree` (this checkout by default),
+and wraps the stage functions of `STAGES` at every module attribute that
+refers to them with `perfbench/spans.py`'s `Recorder`.  Each of the
+`STAGE_REPETITIONS` repetitions clears the package's `lru_cache`s first, so
+it starts as cold as a fresh process.  Per workload it records each stage's
+calls, which must repeat exactly across repetitions, and its median
+self-time (its time less that of the wrapped stages it calls), with the
+median wall time wrapped and unwrapped: the wrappers' overhead.  A stage the
+tree does not have is recorded as absent.  The block holds the tree's
+provenance, as `perfbench/run.py` prints it.  `paired` writes one such block
+per side, each from a `stages` subprocess on that side's tree, on the first
+seed; its provenance must be that side's.
 
 `check_record` is the record's schema: workload, metric and unit names come
 from `BENCHMARK.json`, stage names from `STAGES`; no number is checked.
@@ -42,11 +46,9 @@ from `BENCHMARK.json`, stage names from `STAGES`; no number is checked.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
@@ -219,8 +221,9 @@ def paired(args, bench) -> dict:
                 print(f"{workload} seed {seed} pair {len(pairs)}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['norm_wall_s']['value']:.4f}"
                     for side in SIDES), file=sys.stderr)
-    provenance["parent"]["git_sha"] = parent_sha  # the extracted tree has no `.git`
     stages = stage_blocks(trees, workload_names(args.workloads, bench), args.seeds[0])
+    for record_provenance in (provenance["parent"], stages["parent"]["provenance"]):
+        record_provenance["git_sha"] = parent_sha  # the extracted tree has no `.git`
     return {"kind": "paired", "seconds": args.seconds, "seeds": args.seeds,
             "parent": parent_sha, "change_uncommitted": uncommitted(), "provenance": provenance,
             "pairs": pairs, "summary": summarize(pairs, bench), "stages": stages}
@@ -240,51 +243,23 @@ def stage_blocks(trees: dict, workloads: list[str], seed: int) -> dict:
     return blocks
 
 
-def append(old: dict, new: dict) -> dict:
+APPEND_KEYS = ("kind", "parent", "seconds", "provenance", "change_uncommitted")
+
+
+def append(old: dict, new: dict, bench: dict) -> dict:
     """The paired record `new` with the pairs and stage records of `old`
-    before its own, and the summary taken over all the pairs."""
-    if old.get("kind") != "paired" or (old["parent"], old["seconds"]) != (new["parent"],
-                                                                          new["seconds"]):
-        raise ValueError("--append: the record at --out is no paired record of the same parent "
-                         "and --seconds")
+    before its own, and the summary taken over all the pairs.  Both records
+    must have measured the same two trees."""
+    check_record(old, bench)
+    differ = [key for key in APPEND_KEYS if old.get(key) != new.get(key)]
+    if differ:
+        raise ValueError(f"--append: the record at --out differs from this run in {differ}")
     pairs = old["pairs"] + new["pairs"]
     stages = {side: {**new["stages"][side], "workloads": {
         **old.get("stages", {}).get(side, {}).get("workloads", {}),
         **new["stages"][side]["workloads"]}} for side in SIDES}
     return {**new, "seeds": list(dict.fromkeys(old["seeds"] + new["seeds"])), "pairs": pairs,
-            "summary": summarize(pairs, benchmark()), "stages": stages}
-
-
-class StageTimer:
-    """Calls and self-times of the wrapped stages during one repetition."""
-
-    def __init__(self):
-        self.calls: dict[str, int] = defaultdict(int)
-        self.self_s: dict[str, float] = defaultdict(float)
-        self._inner: list[float] = []  # per open call, the time of the wrapped calls inside it
-
-    def wrap(self, name: str, fn):
-        calls, self_s, inner = self.calls, self.self_s, self._inner
-
-        @functools.wraps(fn)
-        def timed(*args, **kwargs):
-            inner.append(0.0)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                calls[name] += 1
-                self_s[name] += elapsed - inner.pop()
-                if inner:
-                    inner[-1] += elapsed
-
-        return timed
-
-
-def _acceldse_modules() -> list:
-    return [m for name, m in sorted(sys.modules.items())
-            if m is not None and (name == "acceldse" or name.startswith("acceldse."))]
+            "summary": summarize(pairs, bench), "stages": stages}
 
 
 def stage_functions() -> tuple[dict, list[str]]:
@@ -304,53 +279,69 @@ def stage_functions() -> tuple[dict, list[str]]:
 
 
 @contextmanager
-def stages_wrapped(timer: StageTimer, functions: dict):
-    """Each function wrapped by `timer` at every acceldse module attribute
-    that refers to it, for the duration of the block."""
+def stages_wrapped(recorder, functions: dict, modules: list):
+    """Each function wrapped by `recorder` (a `spans.Recorder`) at every
+    attribute of `modules` that refers to it, for the duration of the block."""
     patched = []
     try:
         for name, original in functions.items():
-            wrapper = timer.wrap(name, original)
-            for module in _acceldse_modules():
+            wrapper = recorder.wrap(name, original)
+            for module in modules:
                 for key, value in list(vars(module).items()):
                     if value is original:
                         setattr(module, key, wrapper)
                         patched.append((module, key, original))
-        yield timer
+        yield
     finally:
         for module, key, original in reversed(patched):
             setattr(module, key, original)
 
 
-def clear_caches() -> None:
-    """Empty every `lru_cache` of acceldse, as a fresh process has them."""
-    for module in _acceldse_modules():
+def clear_caches(modules: list) -> None:
+    """Empty every `lru_cache` of `modules`, as a fresh process has them."""
+    for module in modules:
         for value in list(vars(module).values()):
             if hasattr(value, "cache_info") and hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def stage_totals(span_list: list) -> tuple[dict, dict]:
+    """Each stage's calls and self-time in one repetition's spans: its time
+    less that of the spans inside it, as `spans.layer_metrics` takes it."""
+    covered, calls, self_s = defaultdict(float), defaultdict(int), defaultdict(float)
+    for _, parent, _, start, end, _ in span_list:
+        covered[parent] += end - start
+    for sid, _, name, start, end, _ in span_list:
+        calls[name] += 1
+        self_s[name] += (end - start) - covered[sid]
+    return dict(calls), self_s
 
 
 def time_stages(run, functions: dict, repetitions: int) -> dict:
     """Run `run` `repetitions` times unwrapped and as often wrapped, in
     turn: the median wall time of each, and each stage's calls and median
     self-time.  A stage's calls must be the same in every repetition."""
+    import spans  # perfbench/spans.py; the caller puts `perfbench/` on sys.path
+
     walls = {"unwrapped": [], "wrapped": []}
     counts, self_times = None, defaultdict(list)
     for _ in range(repetitions):
         for side in walls:
-            clear_caches()
-            timer = StageTimer()
-            with stages_wrapped(timer, functions) if side == "wrapped" else nullcontext():
+            modules = spans._acceldse_modules()
+            clear_caches(modules)
+            recorder = spans.Recorder()
+            with stages_wrapped(recorder, functions, modules) if side == "wrapped" \
+                    else nullcontext():
                 with redirect_stdout(StringIO()):
                     start = time.perf_counter()
                     run()
                     walls[side].append(time.perf_counter() - start)
+        calls, self_s = stage_totals(recorder.spans)
         if counts is None:
-            counts = dict(timer.calls)
-        elif dict(timer.calls) != counts:
-            raise RuntimeError(f"stage calls differ between repetitions: {counts} then "
-                               f"{dict(timer.calls)}")
-        for name, seconds in timer.self_s.items():
+            counts = calls
+        elif calls != counts:
+            raise RuntimeError(f"stage calls differ between repetitions: {counts} then {calls}")
+        for name, seconds in self_s.items():
             self_times[name].append(seconds)
     wall = {side: statistics.median(values) for side, values in walls.items()}
     return {"repetitions": repetitions,
@@ -420,20 +411,19 @@ def stages(args, bench) -> dict:
     tree = Path(args.tree).resolve()
     os.environ.update(STAGE_THREADS)  # one BLAS thread, as the benchmark's processes have
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    import numpy
+    import run as perfbench_run
 
     functions, absent = stage_functions()
     records = {}
     with tempfile.TemporaryDirectory() as work:
         for workload in workload_names(args.workloads, bench):
             run = stage_run(workload, args.seed, Path(work))
-            records[workload] = {"seed": args.seed, **time_stages(run, functions, args.repetitions)}
+            records[workload] = {"seed": args.seed,
+                                 **time_stages(run, functions, STAGE_REPETITIONS)}
             print(f"stages {workload} seed {args.seed}: wall "
                   f"{json.dumps(records[workload]['wall_s'])}", file=sys.stderr)
-    machine = {"cores": os.cpu_count(), "python": platform.python_version(),
-               "numpy": numpy.__version__}
-    return {"kind": "stages", "stages": {"machine": machine, "absent": absent,
-                                         "workloads": records}}
+    return {"kind": "stages", "stages": {"provenance": perfbench_run.provenance(),
+                                         "absent": absent, "workloads": records}}
 
 
 def uncommitted() -> list[str]:
@@ -475,8 +465,10 @@ def _check_provenance(provenance: dict, where: str) -> None:
 
 def check_stages(block: dict, names: set, where: str) -> None:
     """Raise `ValueError` where a `stages` block breaks its schema."""
-    if sorted(block) != ["absent", "machine", "workloads"]:
-        raise ValueError(f"{where}: fields {sorted(block)}, expected absent, machine, workloads")
+    if sorted(block) != ["absent", "provenance", "workloads"]:
+        raise ValueError(f"{where}: fields {sorted(block)}, expected absent, provenance, "
+                         "workloads")
+    _check_provenance(block["provenance"], where)
     if not set(block["absent"]) <= set(STAGE_NAMES):
         raise ValueError(f"{where}: absent names {block['absent']} outside STAGES")
     for workload, entry in block["workloads"].items():
@@ -523,6 +515,8 @@ def check_record(rec: dict, bench: dict) -> None:
             if side not in SIDES:
                 raise ValueError(f"stages of {side}: neither 'parent' nor 'change'")
             check_stages(block, names, f"stages of {side}")
+            if block["provenance"] != rec["provenance"][side]:
+                raise ValueError(f"stages of {side}: provenance differs from the {side}'s runs")
     else:
         raise ValueError(f"kind {rec.get('kind')!r} is not 'record', 'paired' or 'stages'")
     if not runs:
@@ -540,8 +534,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True)
         if mode == "stages":
             p.add_argument("--seed", type=int, required=True)
-            p.add_argument("--repetitions", type=int, default=STAGE_REPETITIONS,
-                           help="repetitions wrapped and as many unwrapped; at least 2")
             p.add_argument("--tree", default=str(ROOT), help="the source tree to import")
             continue
         p.add_argument("--seeds", nargs="+", type=int, required=True)
@@ -554,12 +546,10 @@ def main(argv=None) -> int:
             p.add_argument("--append", action="store_true",
                            help="add to the paired record at --out")
     args = parser.parse_args(argv)
-    if getattr(args, "repetitions", 2) < 2:
-        parser.error("--repetitions must be at least 2, so the calls can be compared")
     bench = benchmark()
     rec = {"record": record, "paired": paired, "stages": stages}[args.mode](args, bench)
     if args.mode == "paired" and args.append:
-        rec = append(json.loads(Path(args.out).read_text(encoding="utf-8")), rec)
+        rec = append(json.loads(Path(args.out).read_text(encoding="utf-8")), rec, bench)
     check_record(rec, bench)
     Path(args.out).write_text(json.dumps(rec, indent=2) + "\n", encoding="utf-8")
     return 0
