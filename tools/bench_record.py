@@ -243,15 +243,13 @@ def stage_blocks(trees: dict, workloads: list[str], seed: int) -> dict:
     return blocks
 
 
-APPEND_KEYS = ("kind", "parent", "seconds", "provenance", "change_uncommitted")
-
-
 def append(old: dict, new: dict, bench: dict) -> dict:
     """The paired record `new` with the pairs and stage records of `old`
     before its own, and the summary taken over all the pairs.  Both records
     must have measured the same two trees."""
     check_record(old, bench)
-    differ = [key for key in APPEND_KEYS if old.get(key) != new.get(key)]
+    differ = [key for key in ("kind", "parent", "seconds", "provenance", "change_uncommitted")
+              if old.get(key) != new.get(key)]
     if differ:
         raise ValueError(f"--append: the record at --out differs from this run in {differ}")
     pairs = old["pairs"] + new["pairs"]
